@@ -10,9 +10,10 @@ wigner        evaluate a single 3-j or 6-j symbol
 roundtrip     eigenvalue-level forward-and-back consistency sweep
 
 Every run that writes files also writes a manifest JSON next to the first
-output recording the resolved arguments, so a run can be reproduced
-exactly.  Angles are radians unless --degrees is given.  Exit codes:
-0 success, 2 usage, 3 invalid input, 4 numerical failure.
+output recording every parsed argument (input paths made absolute), so a
+run can be reproduced exactly.  Angles are radians unless --degrees is
+given.  Exit codes: 0 success, 2 usage, 3 invalid input, 4 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -91,10 +92,18 @@ def _phi_grid(args) -> np.ndarray:
     return np.linspace(start, stop, args.phi_steps)
 
 
-def _write_manifest(out_path: str, command: str, payload: dict) -> None:
-    manifest = {"tool": "rydpol", "version": __version__, "command": command}
-    manifest.update(payload)
-    base, _ = os.path.splitext(out_path)
+_INPUT_PATHS = ("scenario", "input", "second_input")
+
+
+def _write_manifest(args) -> None:
+    manifest = {"tool": "rydpol", "version": __version__}
+    for key, value in vars(args).items():
+        if key == "fn":
+            continue
+        if key in _INPUT_PATHS and value is not None:
+            value = os.path.abspath(value)
+        manifest[key] = value
+    base, _ = os.path.splitext(args.output)
     with open(base + ".manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -129,34 +138,12 @@ def cmd_spectrogram(args) -> int:
                 phi_grid,
                 exact=(args.envelopes == "exact"),
             )
-    _write_manifest(
-        args.output,
-        "spectrogram",
-        {
-            "class": {"J2": cls.J.twice, "p": cls.p},
-            "phi": {"start": args.phi_start, "stop": args.phi_stop,
-                    "steps": args.phi_steps, "degrees": bool(args.degrees)},
-            "envelopes": args.envelopes,
-            "format": args.format,
-            "output": args.output,
-        },
-    )
     return EXIT_OK
 
 
 def cmd_envelopes(args) -> int:
     phi_grid = _phi_grid(args)
     write_envelopes_csv(args.output, phi_grid, exact=(args.kind == "exact"))
-    _write_manifest(
-        args.output,
-        "envelopes",
-        {
-            "kind": args.kind,
-            "phi": {"start": args.phi_start, "stop": args.phi_stop,
-                    "steps": args.phi_steps, "degrees": bool(args.degrees)},
-            "output": args.output,
-        },
-    )
     return EXIT_OK
 
 
@@ -196,17 +183,6 @@ def cmd_eit(args) -> int:
             fh.write("\n")
     else:
         eitsim.write_spectrogram_csv(args.output, spg)
-    _write_manifest(
-        args.output,
-        "eit",
-        {
-            "scenario": os.path.abspath(args.scenario),
-            "optics_override": args.optics,
-            "third_level_mhz": args.third_level,
-            "format": args.format,
-            "output": args.output,
-        },
-    )
     return EXIT_OK
 
 
@@ -228,10 +204,19 @@ def _load_spectrum(path: str):
         cls = TransitionClass(HalfInt(int(doc["class"]["J2"])), int(doc["class"]["p"]))
     except (KeyError, ValueError, TypeError) as exc:
         raise CliError("%s: bad class spec: %s" % (path, exc))
-    x = np.asarray(doc["detuning_mhz"], dtype=float)
-    y = np.asarray(doc["amplitude"], dtype=float)
+    try:
+        x = np.asarray(doc["detuning_mhz"], dtype=float)
+        y = np.asarray(doc["amplitude"], dtype=float)
+    except (ValueError, TypeError) as exc:
+        raise CliError("%s: detuning and amplitude must be numbers: %s" % (path, exc))
     if x.shape != y.shape or x.ndim != 1:
         raise CliError("%s: detuning and amplitude must be equal-length 1-D" % path)
+    if x.size < 8:
+        raise CliError("%s: need at least 8 samples, got %d" % (path, x.size))
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise CliError("%s: detuning and amplitude must be finite" % path)
+    if np.any(np.diff(x) <= 0):
+        raise CliError("%s: detuning grid must be strictly increasing" % path)
     config = doc.get("config", "standard")
     return cls, x, y, config
 
@@ -307,19 +292,6 @@ def cmd_invert(args) -> int:
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
-        _write_manifest(
-            args.output,
-            "invert",
-            {
-                "input": os.path.abspath(args.input),
-                "second_input": os.path.abspath(args.second_input)
-                if args.second_input else None,
-                "config": config,
-                "central_threshold": args.central_threshold,
-                "degrees": bool(args.degrees),
-                "output": args.output,
-            },
-        )
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -371,17 +343,6 @@ def cmd_roundtrip(args) -> int:
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
-        _write_manifest(
-            args.output,
-            "roundtrip",
-            {
-                "class": {"J2": cls.J.twice, "p": cls.p},
-                "configs": list(configs),
-                "phi": {"start": args.phi_start, "stop": args.phi_stop,
-                        "steps": args.phi_steps, "degrees": bool(args.degrees)},
-                "output": args.output,
-            },
-        )
     else:
         sys.stdout.write(text)
     return EXIT_OK if failures == 0 else EXIT_NUMERICAL
@@ -480,7 +441,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        code = args.fn(args)
     except CliError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return exc.code
@@ -490,6 +451,9 @@ def main(argv=None) -> int:
     except InversionError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_NUMERICAL
+    if getattr(args, "output", None):
+        _write_manifest(args)
+    return code
 
 
 if __name__ == "__main__":

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -117,8 +116,14 @@ class SimParams:
 
     def __post_init__(self):
         for name in ("omega_probe", "omega_coupling", "omega_rf", "gamma_i", "gamma_r"):
-            if getattr(self, name) < 0:
-                raise ValueError("%s must be non-negative" % name)
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0:
+                raise ValueError("%s must be finite and non-negative" % name)
+        if not math.isfinite(self.delta_probe):
+            raise ValueError("delta_probe must be finite")
+        grid = np.asarray(self.coupling_detuning_grid, dtype=float)
+        if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
+            raise ValueError("coupling_detuning_grid must be a non-empty list of finite values")
         if self.gamma_i > 0 and self.omega_probe > self.gamma_i:
             warnings.warn(
                 "omega_probe exceeds gamma_i; weak-probe response is nonlinear",
@@ -126,9 +131,10 @@ class SimParams:
             )
 
 
-def _we_block(j_upper: HalfInt, j_lower: HalfInt, components) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _we_block(j_upper: HalfInt, j_lower: HalfInt, components: tuple) -> np.ndarray:
     """Wigner-Eckart block <upper m'| sum_q c_q r_q |lower m>, reduced
-    element folded into the Rabi scale."""
+    element folded into the Rabi scale.  Cached; the result is read-only."""
     c_minus, c_zero, c_plus = components
     amps = {-1: c_minus, 0: c_zero, 1: c_plus}
     nu, nl = j_upper.twice + 1, j_lower.twice + 1
@@ -145,6 +151,7 @@ def _we_block(j_upper: HalfInt, j_lower: HalfInt, components) -> np.ndarray:
             B[row, col] += amps[q] * sign * wigner3j(
                 j_upper, HalfInt.of(1), j_lower, HalfInt(-m2p), q, HalfInt(m2)
             )
+    B.setflags(write=False)
     return B
 
 
@@ -241,8 +248,7 @@ def collapse_operators(scheme: LevelScheme, params: SimParams) -> list:
         # state total decay rate gamma_i
         scale = math.sqrt(params.gamma_i * (ji.twice + 1))
         for q in (-1, 0, 1):
-            comp = [0.0, 0.0, 0.0]
-            comp[q + 1] = 1.0
+            comp = tuple(1.0 if k == q else 0.0 for k in (-1, 0, 1))
             Bq = _we_block(ji, jg, comp)  # i rows x g cols
             C = np.zeros((n, n), dtype=complex)
             C[off["g"] : off["g"] + ng, off["i"] : off["i"] + ni] = scale * Bq.conj().T
@@ -268,29 +274,29 @@ def liouvillian(H: np.ndarray, collapse: list) -> np.ndarray:
     return L
 
 
+def _solve_trace_row(L: np.ndarray, n: int) -> np.ndarray:
+    """Solve L vec(rho) = 0 with row 0 replaced by the trace constraint
+    (overwriting L); rho is returned Hermitized."""
+    L[0, :] = 0.0
+    L[0, :: n + 1] = 1.0
+    b = np.zeros(n * n, dtype=complex)
+    b[0] = 1.0
+    rho = np.linalg.solve(L, b).reshape(n, n)
+    return 0.5 * (rho + rho.conj().T)
+
+
 def steady_state(
     H: np.ndarray, collapse: list, check_unique: bool = False, null_tol: float = 1e-8
 ) -> np.ndarray:
-    """Stationary density matrix of the Lindblad generator.
-
-    Solves the vectorized linear system with one row replaced by the trace
-    constraint; rho is returned Hermitized.
-    """
-    n = H.shape[0]
+    """Stationary density matrix of the Lindblad generator: the dense
+    reference solve, one Liouvillian and one linear system per call."""
     L = liouvillian(H, collapse)
     if check_unique:
         sv = np.linalg.svd(L, compute_uv=False)
         scale = sv[0] if sv[0] > 0 else 1.0
         if np.sum(sv / scale < null_tol) > 1:
             raise NonUniqueSteadyState("Lindblad nullspace dimension exceeds 1")
-    A = L.copy()
-    b = np.zeros(n * n, dtype=complex)
-    A[0, :] = 0.0
-    A[0, :: n + 1] = 1.0  # trace row
-    b[0] = 1.0
-    rho = np.linalg.solve(A, b).reshape(n, n)
-    rho = 0.5 * (rho + rho.conj().T)
-    return rho
+    return _solve_trace_row(L, H.shape[0])
 
 
 def lindblad_residual(H: np.ndarray, collapse: list, rho: np.ndarray) -> float:
@@ -340,7 +346,8 @@ def eit_spectrum(scheme: LevelScheme, params: SimParams, sop: RfSop | float) -> 
 
     The coupling detuning enters the Hamiltonian only on the Rydberg
     diagonal, so the Liouvillian is assembled once at Delta_c = 0 and each
-    grid point just adds a diagonal shift before the linear solve.
+    grid point just adds a diagonal shift to a copy of it before the same
+    trace-row solve that steady_state uses.
     """
     if not isinstance(sop, RfSop):
         sop = sop_from_phi(float(sop))
@@ -358,24 +365,16 @@ def eit_spectrum(scheme: LevelScheme, params: SimParams, sop: RfSop | float) -> 
     # dH/dDelta_c = -diag(ryd); its commutator contribution is diagonal in
     # the vectorized basis
     dshift = 1j * (np.repeat(ryd, n) - np.tile(ryd, n))
-    b = np.zeros(n * n, dtype=complex)
-    b[0] = 1.0
-    trace_cols = np.arange(n) * (n + 1)
+    diag = np.arange(n * n)
 
-    def one(dc: float) -> float:
-        A = L0 + np.diag(dc * dshift)
-        A[0, :] = 0.0
-        A[0, trace_cols] = 1.0
-        rho = np.linalg.solve(A, b).reshape(n, n)
-        rho = 0.5 * (rho + rho.conj().T)
-        return probe_absorption(scheme, params, rho)
-
-    workers = int(os.environ.get("RYDPOL_THREADS", "1") or "1")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            absorption = np.array(list(ex.map(one, grid)))
-    else:
-        absorption = np.array([one(dc) for dc in grid])
+    absorption = np.empty(grid.size)
+    # one work buffer for the whole sweep: a fresh copy per point is handed
+    # back to the OS by the allocator and page-faulted in again at each solve
+    A = np.empty_like(L0)
+    for k, dc in enumerate(grid):
+        np.copyto(A, L0)
+        A[diag, diag] += dc * dshift
+        absorption[k] = probe_absorption(scheme, params, _solve_trace_row(A, n))
     response = np.clip(baseline - absorption, 0.0, None)
     return EitSpectrum(sop.phi, grid, response)
 

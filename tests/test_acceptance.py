@@ -6,7 +6,6 @@ always visible in the run log).
 """
 
 import math
-import os
 import sys
 
 import numpy as np
@@ -69,17 +68,6 @@ def verdict(capfd):
         assert ok, line.strip()
 
     return report
-
-
-@pytest.fixture(autouse=True, scope="module")
-def _default_thread_pool():
-    # speed up the EIT sweeps unless the caller pinned the thread count
-    old = os.environ.get("RYDPOL_THREADS")
-    if old is None:
-        os.environ["RYDPOL_THREADS"] = str(min(4, os.cpu_count() or 1))
-    yield
-    if old is None:
-        os.environ.pop("RYDPOL_THREADS", None)
 
 
 def test_criterion_01_degeneracy_counts(verdict):

@@ -39,7 +39,9 @@ class TestSpectrogramCommand:
         assert out.read_text().startswith("phi,band_index,eigenvalue")
         manifest = json.loads((tmp_path / "spg.manifest.json").read_text())
         assert manifest["command"] == "spectrogram"
-        assert manifest["class"] == {"J2": 1, "p": 0}
+        assert (manifest["J2"], manifest["p"]) == (1, 0)
+        assert manifest["phi_steps"] == 9
+        assert "fn" not in manifest
 
     def test_json_with_envelopes(self, tmp_path):
         out = tmp_path / "spg.json"
@@ -140,6 +142,18 @@ class TestEitCommand:
                    "--third-level", "-5", "-o", str(tmp_path / "x.csv")])
         assert rc == 3
 
+    @pytest.mark.parametrize("params", [
+        {"omega_rf": "nan"},
+        {"coupling_detuning_grid": []},
+    ])
+    def test_bad_params_invalid_input(self, tmp_path, capsys, params):
+        out = tmp_path / "x.csv"
+        rc = main(["eit", "--scenario", str(self.scenario(tmp_path, params=params)),
+                   "-o", str(out)])
+        assert rc == 3
+        assert "params:" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestInvertCommand:
     def test_half_zero_candidates(self, tmp_path, capsys):
@@ -163,6 +177,39 @@ class TestInvertCommand:
         report = json.loads(out.read_text())
         assert len(report["candidate_stokes"]) == len(report["candidates"])
         assert (tmp_path / "report.manifest.json").exists()
+
+    def test_manifest_records_every_flag(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        write_spectrum(spec, TransitionClass.of(0.5, 0), 0.6)
+        out = tmp_path / "report.json"
+        rc = main(["invert", "--input", str(spec), "--min-prominence", "0.04",
+                   "--merge-tol", "0.5", "--second-config", "rotated_circular",
+                   "-o", str(out)])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "report.manifest.json").read_text())
+        assert manifest["command"] == "invert"
+        assert manifest["input"] == str(spec.resolve())
+        assert manifest["min_prominence"] == 0.04
+        assert manifest["merge_tol"] == 0.5
+        assert manifest["central_tol"] is None
+        assert manifest["ratio_tol"] == 1e-6
+        assert manifest["angle_tol"] == 1e-3
+        assert manifest["second_config"] == "rotated_circular"
+
+    @pytest.mark.parametrize("x,y,message", [
+        (list(range(7)), [0.0] * 7, "at least 8 samples"),
+        ([0, 1, 2, 3, 3, 4, 5, 6], [0.0] * 8, "strictly increasing"),
+        (list(range(8)), [0, 1, float("nan"), 0, 1, 0, 1, 0], "finite"),
+        (list(range(8)), [0, 1, "peak", 0, 1, 0, 1, 0], "must be numbers"),
+    ])
+    def test_bad_spectrum_invalid_input(self, tmp_path, capsys, x, y, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "detuning_mhz": x, "amplitude": y, "class": {"J2": 1, "p": 0},
+        }))
+        rc = main(["invert", "--input", str(bad)])
+        assert rc == 3
+        assert message in capsys.readouterr().err
 
     def test_five_half_pruning(self, tmp_path, capsys):
         phi = 0.8  # standard optics: no central peak expected below pi/2

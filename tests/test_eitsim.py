@@ -22,7 +22,12 @@ from rydpol.eitsim import (
     steady_state,
     third_level_sweep,
 )
-from rydpol.sop import rotated_circular_optics, sop_from_phi
+from rydpol.sop import (
+    rotated_circular_optics,
+    sop_from_phi,
+    standard_optics,
+    tilted_linear_optics,
+)
 
 HALF_ZERO = TransitionClass.of(0.5, 0)
 FIVE_HALF = TransitionClass.of(1.5, 1)
@@ -78,6 +83,17 @@ class TestSimParams:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
             SimParams(gamma_i=-1.0)
+
+    @pytest.mark.parametrize("over", [
+        {"omega_rf": math.nan},
+        {"gamma_r": math.inf},
+        {"delta_probe": math.nan},
+        {"coupling_detuning_grid": ()},
+        {"coupling_detuning_grid": (0.0, math.nan, 1.0)},
+    ])
+    def test_non_finite_or_empty_rejected(self, over):
+        with pytest.raises(ValueError):
+            SimParams(**over)
 
     def test_strong_probe_warns(self):
         with pytest.warns(UserWarning):
@@ -203,14 +219,28 @@ class TestSpectrum:
         spec = eit_spectrum(s, small_params(), 0.3)
         assert np.all(spec.response >= 0.0)
 
-    def test_threads_env_same_result(self, monkeypatch):
-        s = scheme_for_class(HALF_ZERO)
-        p = small_params(coupling_detuning_grid=tuple(np.linspace(-50, 50, 41)))
-        monkeypatch.setenv("RYDPOL_THREADS", "1")
-        a = eit_spectrum(s, p, 0.9).response
-        monkeypatch.setenv("RYDPOL_THREADS", "4")
-        b = eit_spectrum(s, p, 0.9).response
-        assert np.allclose(a, b, atol=1e-12)
+    @pytest.mark.parametrize("cls,optics,third", [
+        (HALF_ZERO, standard_optics, None),
+        (FIVE_HALF, tilted_linear_optics, None),
+        (FIVE_HALF, tilted_linear_optics, 100.0),
+    ], ids=["1/2^0", "3/2^+", "3/2^+_r3"])
+    def test_matches_dense_reference(self, cls, optics, third):
+        # the shifted-Liouvillian sweep against a fresh Hamiltonian and a
+        # full steady_state solve at each detuning
+        s = scheme_for_class(cls, third_delta3_mhz=third)
+        p = small_params(coupling_detuning_grid=tuple(np.linspace(-50, 50, 41)),
+                         optics=optics())
+        phi = 0.9
+        spec = eit_spectrum(s, p, phi)
+        collapse = collapse_operators(s, p)
+        dark = replace(p, omega_coupling=0.0)
+        baseline = probe_absorption(
+            s, dark, steady_state(build_hamiltonian(s, dark, phi, 0.0), collapse))
+        for k in (0, 13, 20, 27, 40):
+            dc = spec.detuning_mhz[k]
+            rho = steady_state(build_hamiltonian(s, p, phi, dc), collapse)
+            ref = max(baseline - probe_absorption(s, p, rho), 0.0)
+            assert abs(spec.response[k] - ref) <= 1e-9 * spec.response.max()
 
     def test_spectrogram_shape(self):
         s = scheme_for_class(HALF_ZERO)

@@ -250,10 +250,7 @@ def cmd_invert(args) -> int:
     cls, x, y, config = _load_spectrum(args.input)
     if args.config is not None:
         config = args.config
-    try:
-        peaks, result = _invert_one(cls, x, y, config, args)
-    except InversionError as exc:
-        raise CliError(str(exc), EXIT_NUMERICAL)
+    peaks, result = _invert_one(cls, x, y, config, args)
     combined = None
     if args.second_input:
         cls2, x2, y2, config2 = _load_spectrum(args.second_input)
@@ -261,10 +258,7 @@ def cmd_invert(args) -> int:
             config2 = args.second_config
         if (cls2.J, cls2.p) != (cls.J, cls.p):
             raise CliError("both spectra must declare the same transition class")
-        try:
-            _, result2 = _invert_one(cls2, x2, y2, config2, args)
-        except InversionError as exc:
-            raise CliError(str(exc), EXIT_NUMERICAL)
+        _, result2 = _invert_one(cls2, x2, y2, config2, args)
         combined = combine_candidates(result, result2, angle_tol=args.angle_tol)
 
     def angles(values):
@@ -315,12 +309,7 @@ def cmd_roundtrip(args) -> int:
     rows = []
     failures = 0
     for phi in phi_grid:
-        try:
-            rep = round_trip(cls, float(phi), configs=configs, angle_tol=args.angle_tol)
-        except NotInvertible as exc:
-            raise CliError(str(exc))
-        except InversionError as exc:
-            raise CliError(str(exc), EXIT_NUMERICAL)
+        rep = round_trip(cls, float(phi), configs=configs, angle_tol=args.angle_tol)
         if not rep.recovered:
             failures += 1
         rows.append(

@@ -13,13 +13,13 @@ m = -J'..J' ascending.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .angular import HalfInt, dipole_angular_factor, wigner3j
-from .sop import RfSop, sop_from_phi
+from .angular import HalfInt, reduced_coupling_strength, wigner3j
+from .sop import RfSop
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -121,14 +121,6 @@ class EnvelopePair:
     inner_minus: float
 
 
-def _prefactor(cls: TransitionClass) -> float:
-    twoJ = cls.J.twice
-    ap = abs(cls.p)
-    first = math.sqrt((twoJ + 1) / (2.0 * (twoJ + 2)))
-    second = math.sqrt((twoJ + 3.0) ** ap / (twoJ / 2.0) ** (1 - ap))
-    return first * second
-
-
 @lru_cache(maxsize=None)
 def _channel_matrices(cls: TransitionClass) -> tuple:
     """phi-independent coefficient matrices (C_plus, C_minus) such that the
@@ -137,7 +129,7 @@ def _channel_matrices(cls: TransitionClass) -> tuple:
     J, ap = cls.J, abs(cls.p)
     Jp = cls.j_prime
     dim = cls.dim
-    pref = _prefactor(cls) * _class_scale(cls)
+    pref = abs(reduced_coupling_strength(J, cls.p)) * _class_scale(cls)
     out = {}
     for q in (1, -1):
         C = np.zeros((dim, dim))
@@ -166,22 +158,44 @@ def coupling_matrix(cls: TransitionClass, phi: float) -> CouplingMatrix:
 
 
 @lru_cache(maxsize=None)
-def _oracle_blocks(cls: TransitionClass) -> tuple:
-    """Wigner-Eckart dipole blocks B_q (r2 rows x r1 columns) per q channel."""
-    J, Jp = cls.J, cls.j_prime
-    blocks = {}
-    for q in (1, -1):
-        B = np.zeros((cls.dim_r2, cls.dim_r1))
-        for col, m2 in enumerate(range(-J.twice, J.twice + 1, 2)):
+def _unit_dipole_blocks(j_upper: HalfInt, j_lower: HalfInt) -> np.ndarray:
+    """<j_upper m'| r_q |j_lower m> for q = -1, 0, +1 stacked on axis 0,
+    shape (3, 2 j_upper + 1, 2 j_lower + 1), m ascending along both axes,
+    Condon-Shortley phase (-1)^(j_upper - m') and reduced element 1.
+    Cached per (j_upper, j_lower); the result is read-only."""
+    U = np.zeros((3, j_upper.twice + 1, j_lower.twice + 1))
+    for q in (-1, 0, 1):
+        for col, m2 in enumerate(range(-j_lower.twice, j_lower.twice + 1, 2)):
             m2p = m2 + 2 * q
-            if abs(m2p) > Jp.twice:
+            if abs(m2p) > j_upper.twice:
                 continue
-            row = (m2p + Jp.twice) // 2
-            B[row, col] = dipole_angular_factor(
-                J, cls.p, HalfInt(m2), HalfInt(m2p), q
+            row = (m2p + j_upper.twice) // 2
+            sign = -1 if ((j_upper.twice - m2p) // 2) % 2 else 1
+            U[q + 1, row, col] = sign * wigner3j(
+                j_upper, HalfInt.of(1), j_lower, HalfInt(-m2p), q, HalfInt(m2)
             )
-        blocks[q] = B
-    return blocks[1], blocks[-1]
+    U.setflags(write=False)
+    return U
+
+
+def dipole_block(j_upper: HalfInt, j_lower: HalfInt, components,
+                 reduced: float = 1.0) -> np.ndarray:
+    """Wigner-Eckart block <j_upper m'| sum_q c_q r_q |j_lower m> (upper rows
+    x lower columns) for spherical components (c_minus, c_zero, c_plus) and
+    reduced element `reduced`.  Every dipole coupling in the package is
+    built here."""
+    U = _unit_dipole_blocks(j_upper, j_lower) * reduced
+    c_minus, c_zero, c_plus = components
+    return c_minus * U[0] + c_zero * U[1] + c_plus * U[2]
+
+
+def rf_block(cls: TransitionClass, c_minus, c_plus) -> np.ndarray:
+    """RF dipole block (r2 rows x r1 columns) of a transition class for the
+    spherical components (c_minus, c_plus), radial scale 1; each entry is
+    sum_q c_q * dipole_angular_factor(J, p, m, m', q)."""
+    sign = -1.0 if ((cls.J.twice - 1) // 2) % 2 else 1.0
+    return dipole_block(cls.j_prime, cls.J, (c_minus, 0.0, c_plus),
+                        sign * reduced_coupling_strength(cls.J, cls.p))
 
 
 def oracle_matrix(cls: TransitionClass, sop: RfSop) -> CouplingMatrix:
@@ -191,8 +205,7 @@ def oracle_matrix(cls: TransitionClass, sop: RfSop) -> CouplingMatrix:
     Built independently of the closed-form entry formula; its eigenvalue
     multiset matches coupling_matrix up to one global positive scale.
     """
-    b_plus, b_minus = _oracle_blocks(cls)
-    block = sop.amp_plus * b_plus + sop.amp_minus * b_minus
+    block = rf_block(cls, sop.amp_minus, sop.amp_plus)
     n1 = cls.dim_r1
     H = np.zeros((cls.dim, cls.dim), dtype=complex)
     H[n1:, :n1] = block

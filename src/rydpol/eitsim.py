@@ -25,8 +25,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angular import HalfInt, wigner3j
-from .dressing import TransitionClass, oracle_matrix, oracle_scale, _oracle_blocks
+from .angular import HalfInt
+from .dressing import TransitionClass, dipole_block, oracle_scale, rf_block
 from .sop import OpticalConfig, OPTICS_PRESETS, RfSop, sop_from_phi, standard_optics
 
 
@@ -44,7 +44,6 @@ class ThirdLevel:
 
     j3: HalfInt
     delta3_mhz: float
-    optical: bool = True  # coupling laser also reaches r3 (same parity as target)
 
     def __post_init__(self):
         object.__setattr__(self, "j3", HalfInt.of(self.j3))
@@ -63,10 +62,12 @@ class LevelScheme:
         object.__setattr__(self, "j_intermediate", HalfInt.of(self.j_intermediate))
         if self.coupling_target not in ("r1", "r2"):
             raise ValueError("coupling_target must be 'r1' or 'r2'")
-        if self.third is not None:
-            dj = abs(self.third.j3.twice - self.cls.J.twice)
-            if dj > 2:
-                raise ValueError("third level must be dipole-reachable from r1")
+        # the r1 <-> r3 RF coupling is built as class (J, 0) or (J, +1)
+        if self.third is not None and self.third.j3 not in (self.cls.J, self.cls.J + 1):
+            raise ValueError(
+                "third level needs J3 = J or J+1 of r1: 2*J3 must be %d or %d, got %d"
+                % (self.cls.J.twice, self.cls.J.twice + 2, self.third.j3.twice)
+            )
 
     @property
     def j_ground(self) -> HalfInt:
@@ -131,30 +132,6 @@ class SimParams:
             )
 
 
-@lru_cache(maxsize=None)
-def _we_block(j_upper: HalfInt, j_lower: HalfInt, components: tuple) -> np.ndarray:
-    """Wigner-Eckart block <upper m'| sum_q c_q r_q |lower m>, reduced
-    element folded into the Rabi scale.  Cached; the result is read-only."""
-    c_minus, c_zero, c_plus = components
-    amps = {-1: c_minus, 0: c_zero, 1: c_plus}
-    nu, nl = j_upper.twice + 1, j_lower.twice + 1
-    B = np.zeros((nu, nl), dtype=complex)
-    for col, m2 in enumerate(range(-j_lower.twice, j_lower.twice + 1, 2)):
-        for q in (-1, 0, 1):
-            if abs(amps[q]) == 0.0:
-                continue
-            m2p = m2 + 2 * q
-            if abs(m2p) > j_upper.twice:
-                continue
-            row = (m2p + j_upper.twice) // 2
-            sign = -1 if ((j_upper.twice - m2p) // 2) % 2 else 1
-            B[row, col] += amps[q] * sign * wigner3j(
-                j_upper, HalfInt.of(1), j_lower, HalfInt(-m2p), q, HalfInt(m2)
-            )
-    B.setflags(write=False)
-    return B
-
-
 def build_hamiltonian(
     scheme: LevelScheme, params: SimParams, sop: RfSop | float, delta_c: float
 ) -> np.ndarray:
@@ -179,48 +156,40 @@ def build_hamiltonian(
         for k in range(n3):
             H[off["r3"] + k, off["r3"] + k] = -dp - dc + scheme.third.delta3_mhz
 
+    # the dipole blocks below all sit below the diagonal; the whole matrix
+    # is Hermitized at the end
+    def put(row, col, block):
+        H[row : row + block.shape[0], col : col + block.shape[1]] = block
+
     # probe g -> i: Wigner-Eckart block over the J_g = 1/2 ground doublet,
     # which lets circular beams optically pump the ground population and
     # reshape peak prominences the way a real vapor does
     cp = params.optics.probe_components()
-    Bg = _we_block(ji, scheme.j_ground, cp)
-    H[off["i"] : off["i"] + ni, 0:2] = params.omega_probe / 2.0 * Bg
+    put(off["i"], off["g"], params.omega_probe / 2.0 * dipole_block(ji, scheme.j_ground, cp))
 
     # coupling laser i -> target Rydberg manifold
     cc = params.optics.coupling_components()
     j_target = scheme.cls.J if scheme.coupling_target == "r1" else scheme.cls.j_prime
-    Bt = _we_block(j_target, ji, cc)
-    tgt = off[scheme.coupling_target]
-    nt = j_target.twice + 1
-    H[tgt : tgt + nt, off["i"] : off["i"] + ni] = params.omega_coupling / 2.0 * Bt
+    put(off[scheme.coupling_target], off["i"],
+        params.omega_coupling / 2.0 * dipole_block(j_target, ji, cc))
 
-    # RF dressing r1 <-> r2 in the lab frame, where it interferes with the
-    # optical channels; only the lower triangle is written here because the
-    # whole matrix is Hermitized at the end
+    # RF dressing r1 -> r2 in the lab frame, where it interferes with the
+    # optical channels
     rf_minus, rf_plus = sop.lab_spherical()
-    lab = RfSop(rf_plus, rf_minus)
-    rf = oracle_matrix(scheme.cls, lab).entries * (
-        oracle_scale(scheme.cls) * params.omega_rf
-    )
-    H[off["r1"] : off["r1"] + scheme.cls.dim, off["r1"] : off["r1"] + scheme.cls.dim] += np.tril(rf, -1)
+
+    def rf(cls):
+        return rf_block(cls, rf_minus, rf_plus) * (oracle_scale(cls) * params.omega_rf)
+
+    put(off["r2"], off["r1"], rf(scheme.cls))
 
     if scheme.third is not None:
         j3 = scheme.third.j3
-        n3 = j3.twice + 1
-        # RF r1 <-> r3 (off-resonant by delta3, handled on the diagonal)
-        p3 = (j3.twice - scheme.cls.J.twice) // 2
-        cls3 = TransitionClass(scheme.cls.J, p3)
-        b_plus, b_minus = _oracle_blocks(cls3)
-        B3 = (rf_plus * b_plus + rf_minus * b_minus) * (
-            oracle_scale(cls3) * params.omega_rf
-        )
-        H[off["r3"] : off["r3"] + n3, off["r1"] : off["r1"] + scheme.cls.dim_r1] = B3
+        # RF r1 -> r3, off-resonant by delta3 (handled on the diagonal)
+        p3 = (j3.twice - scheme.cls.J.twice) // 2  # 0 or +1, see LevelScheme
+        put(off["r3"], off["r1"], rf(TransitionClass(scheme.cls.J, p3)))
         # coupling laser also reaches r3 when it shares the target's parity
-        if scheme.third.optical and scheme.coupling_target == "r2":
-            B3c = _we_block(j3, ji, cc)
-            H[off["r3"] : off["r3"] + n3, off["i"] : off["i"] + ni] = (
-                params.omega_coupling / 2.0 * B3c
-            )
+        if scheme.coupling_target == "r2":
+            put(off["r3"], off["i"], params.omega_coupling / 2.0 * dipole_block(j3, ji, cc))
 
     H = H + H.conj().T - np.diag(np.diag(H).real)
     return H
@@ -247,9 +216,8 @@ def collapse_operators(scheme: LevelScheme, params: SimParams) -> list:
         # fixed i substate is 1/(2 J_i + 1), so this scale gives each i
         # state total decay rate gamma_i
         scale = math.sqrt(params.gamma_i * (ji.twice + 1))
-        for q in (-1, 0, 1):
-            comp = tuple(1.0 if k == q else 0.0 for k in (-1, 0, 1))
-            Bq = _we_block(ji, jg, comp)  # i rows x g cols
+        for comp in np.eye(3):  # one channel per q = -1, 0, +1
+            Bq = dipole_block(ji, jg, comp)  # i rows x g cols
             C = np.zeros((n, n), dtype=complex)
             C[off["g"] : off["g"] + ng, off["i"] : off["i"] + ni] = scale * Bq.conj().T
             ops.append(C)
@@ -307,23 +275,24 @@ def lindblad_residual(H: np.ndarray, collapse: list, rho: np.ndarray) -> float:
     return float(np.linalg.norm(drho))
 
 
-def _probe_weights(scheme: LevelScheme, params: SimParams) -> np.ndarray:
+@lru_cache(maxsize=32)
+def _probe_weights(j_intermediate: HalfInt, j_ground: HalfInt,
+                   optics: OpticalConfig) -> np.ndarray:
     """Amplitude block with which the probe drives g -> i, unit Frobenius
-    norm, shape (n_i, n_g)."""
-    cp = params.optics.probe_components()
-    Bg = _we_block(scheme.j_intermediate, scheme.j_ground, cp)
+    norm, shape (n_i, n_g).  Cached; the result is read-only."""
+    Bg = dipole_block(j_intermediate, j_ground, optics.probe_components())
     norm = np.linalg.norm(Bg)
-    return Bg / norm if norm > 0 else Bg
+    W = Bg / norm if norm > 0 else Bg
+    W.setflags(write=False)
+    return W
 
 
 def probe_absorption(scheme: LevelScheme, params: SimParams, rho: np.ndarray) -> float:
     """Probe attenuation observable: imaginary part of the ground to
     intermediate coherences projected on the probe coupling pattern."""
     off = scheme.offsets()
-    ni = scheme.j_intermediate.twice + 1
-    ng = scheme.j_ground.twice + 1
-    W = _probe_weights(scheme, params)
-    coh = rho[off["i"] : off["i"] + ni, off["g"] : off["g"] + ng]
+    W = _probe_weights(scheme.j_intermediate, scheme.j_ground, params.optics)
+    coh = rho[off["i"] : off["i"] + W.shape[0], off["g"] : off["g"] + W.shape[1]]
     return float(-np.imag(np.sum(W.conj() * coh)))
 
 

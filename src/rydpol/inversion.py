@@ -127,8 +127,12 @@ def extract_peaks(
     """
     x = np.asarray(detuning, dtype=float)
     y = np.asarray(amplitude, dtype=float)
+    if x.shape != y.shape or x.ndim != 1:
+        raise ValueError("detuning and amplitude must be equal-length 1-D")
     if x.size < 8:
         raise ValueError("need at least 8 samples")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("detuning and amplitude must be finite")
     if np.any(np.diff(x) <= 0):
         raise ValueError("detuning grid must be strictly increasing")
     if central_tol is None:

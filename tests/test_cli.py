@@ -142,6 +142,18 @@ class TestEitCommand:
                    "--third-level", "-5", "-o", str(tmp_path / "x.csv")])
         assert rc == 3
 
+    @pytest.mark.parametrize("j3_twice", [1, 4])
+    def test_unbuildable_third_level_invalid_input(self, tmp_path, capsys, j3_twice):
+        path = self.scenario(tmp_path, **{
+            "class": {"J2": 3, "p": 1},
+            "third_level": {"J2": j3_twice, "delta3_mhz": 100.0},
+        })
+        out = tmp_path / "x.csv"
+        rc = main(["eit", "--scenario", str(path), "-o", str(out)])
+        assert rc == 3
+        assert "third level needs J3 = J or J+1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("params", [
         {"omega_rf": "nan"},
         {"coupling_detuning_grid": []},

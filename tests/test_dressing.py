@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rydpol.dressing import (
     EXPERIMENTAL_CLASSES,
@@ -19,7 +21,7 @@ from rydpol.dressing import (
     write_envelopes_csv,
     write_spectrogram_csv,
 )
-from rydpol.angular import HalfInt
+from rydpol.angular import HalfInt, dipole_angular_factor
 from rydpol.sop import sop_from_phi
 
 HALF_ZERO = TransitionClass.of(0.5, 0)
@@ -102,6 +104,26 @@ class TestOracle:
         m = oracle_matrix(FIVE_HALF, sop_from_phi(0.9)).entries
         assert np.allclose(m[:n1, :n1], 0.0)
         assert np.allclose(m[n1:, n1:], 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        twoJ=st.sampled_from([1, 3, 5, 7]),
+        p=st.sampled_from([-1, 0, 1]),
+        phi=st.floats(0.0, 2 * math.pi),
+    )
+    def test_oracle_block_matches_dipole_angular_factor(self, twoJ, p, phi):
+        # the shared Wigner-Eckart builder against the public per-element
+        # reference, element by element
+        cls = TransitionClass(HalfInt(twoJ), p)
+        sop = sop_from_phi(phi)
+        block = oracle_matrix(cls, sop).entries[cls.dim_r1 :, : cls.dim_r1]
+        ref = np.zeros((cls.dim_r2, cls.dim_r1))
+        for col, (_, m) in enumerate(cls.basis()[: cls.dim_r1]):
+            for row, (_, mp) in enumerate(cls.basis()[cls.dim_r1 :]):
+                ref[row, col] = sop.amp_plus * dipole_angular_factor(
+                    cls.J, p, m, mp, 1
+                ) + sop.amp_minus * dipole_angular_factor(cls.J, p, m, mp, -1)
+        assert np.max(np.abs(block - ref)) <= 1e-14
 
 
 class TestDegeneracies:

@@ -77,6 +77,12 @@ class TestLevelScheme:
             ThirdLevel(HalfInt(5), -1.0)
         with pytest.raises(ValueError):
             LevelScheme(HALF_ZERO, HalfInt(3), "r1", ThirdLevel(HalfInt(7), 10.0))
+        # within one unit of J but not J or J+1: no RF class to build it from
+        for j3 in (HalfInt(1), HalfInt(4)):
+            with pytest.raises(ValueError, match="J3 = J or J\\+1"):
+                LevelScheme(FIVE_HALF, HalfInt(3), "r2", ThirdLevel(j3, 10.0))
+        for j3 in (HalfInt(3), HalfInt(5)):
+            LevelScheme(FIVE_HALF, HalfInt(3), "r2", ThirdLevel(j3, 10.0))
 
 
 class TestSimParams:

@@ -106,6 +106,21 @@ class TestExtractPeaks:
         with pytest.raises(ValueError):
             extract_peaks([0, 1, 1, 2, 3, 4, 5, 6], np.zeros(8))
 
+    @pytest.mark.parametrize("where", ["detuning", "amplitude"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, where, bad):
+        x = np.linspace(-1.5, 1.5, 2001)
+        y = lorentzian_sum(x, [-0.9, -0.4, 0.4, 0.9])
+        (x if where == "detuning" else y)[1000] = bad
+        with pytest.raises(ValueError, match="finite"):
+            extract_peaks(x, y)
+
+    def test_length_mismatch_rejected(self):
+        x = np.linspace(-1.5, 1.5, 2001)
+        y = lorentzian_sum(x, [-0.9, -0.4, 0.4, 0.9])
+        with pytest.raises(ValueError, match="equal-length"):
+            extract_peaks(x, y[:-5])
+
     def test_two_side_peaks_plus_central(self):
         # coalesced inner pair shows up as the central feature
         x = np.linspace(-1.5, 1.5, 2001)

@@ -14,6 +14,11 @@ output recording every parsed argument (input paths made absolute), so a
 run can be reproduced exactly.  Angles are radians unless --degrees is
 given.  Exit codes: 0 success, 2 usage, 3 invalid input, 4 numerical
 failure.
+
+`eit --optics` takes a key of sop.OPTICS_PRESETS; `invert --config` and
+`--second-config`, a spectrum file's "config" and `roundtrip --configs`
+take a key of inversion.PROMINENCE_INTERVALS.  An unknown name exits 3
+and lists the valid ones.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 
@@ -39,6 +44,7 @@ from .dressing import (
 )
 from . import eitsim
 from .inversion import (
+    PROMINENCE_INTERVALS,
     InversionError,
     NotInvertible,
     combine_candidates,
@@ -109,6 +115,22 @@ def _write_manifest(args) -> None:
         fh.write("\n")
 
 
+def _write_json(doc, path) -> None:
+    text = json.dumps(doc, indent=2) + "\n"
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _inversion_config(name) -> str:
+    if not isinstance(name, str) or name not in PROMINENCE_INTERVALS:
+        raise CliError("unknown optics configuration %r (choices: %s)"
+                       % (name, ", ".join(PROMINENCE_INTERVALS)))
+    return name
+
+
 def _emit_angle(value: float, degrees: bool) -> float:
     return math.degrees(value) if degrees else value
 
@@ -126,9 +148,7 @@ def cmd_spectrogram(args) -> int:
                 "kind": args.envelopes,
                 "rows": [list(asdict(fn(float(p))).values()) for p in phi_grid],
             }
-        with open(args.output, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        _write_json(doc, args.output)
     else:
         dressing.write_spectrogram_csv(args.output, spectra)
         if args.envelopes:
@@ -149,44 +169,36 @@ def cmd_envelopes(args) -> int:
 
 def cmd_eit(args) -> int:
     try:
-        scheme, params, phi_grid = eitsim.scenario_from_json(args.scenario)
+        with open(args.scenario) as fh:
+            cfg = json.load(fh)
     except FileNotFoundError:
         raise CliError("scenario file not found: %s" % args.scenario)
-    except (ValueError, json.JSONDecodeError) as exc:
-        raise CliError(str(exc))
+    except json.JSONDecodeError as exc:
+        raise CliError("invalid JSON in %s: %s" % (args.scenario, exc))
+    if not isinstance(cfg, dict) or not isinstance(cfg.get("third_level") or {}, dict):
+        raise CliError("%s: scenario and its third_level must be JSON objects" % args.scenario)
     if args.optics is not None:
-        preset = OPTICS_PRESETS.get(args.optics)
-        if preset is None:
-            raise CliError(
-                "unknown optics preset %r (choices: %s)"
-                % (args.optics, ", ".join(sorted(set(OPTICS_PRESETS))))
-            )
-        params = replace(params, optics=preset())
+        cfg["optics"] = args.optics
     if args.third_level is not None:
-        if args.third_level <= 0:
-            raise CliError("--third-level must be positive (MHz)")
-        if scheme.third is not None:
-            scheme = replace(
-                scheme, third=replace(scheme.third, delta3_mhz=args.third_level)
-            )
-        else:
-            scheme = eitsim.scheme_for_class(
-                scheme.cls, third_delta3_mhz=args.third_level
-            )
+        cfg["third_level"] = dict(cfg.get("third_level") or {},
+                                  delta3_mhz=args.third_level)
+    try:
+        scheme, params, phi_grid = eitsim.scenario_from_dict(cfg)
+    except ValueError as exc:
+        raise CliError(str(exc))
     try:
         spg = eitsim.eit_spectrogram(scheme, params, phi_grid)
     except np.linalg.LinAlgError as exc:
         raise CliError("steady-state solve failed: %s" % exc, EXIT_NUMERICAL)
     if args.format == "json":
-        with open(args.output, "w") as fh:
-            json.dump(eitsim.spectrogram_json_dict(spg), fh, indent=2)
-            fh.write("\n")
+        _write_json(eitsim.spectrogram_json_dict(spg), args.output)
     else:
         eitsim.write_spectrogram_csv(args.output, spg)
     return EXIT_OK
 
 
-def _load_spectrum(path: str):
+def _load_spectrum(path: str, config):
+    """(cls, x, y, config) of a spectrum file; a config not None overrides the file's."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -217,8 +229,9 @@ def _load_spectrum(path: str):
         raise CliError("%s: detuning and amplitude must be finite" % path)
     if np.any(np.diff(x) <= 0):
         raise CliError("%s: detuning grid must be strictly increasing" % path)
-    config = doc.get("config", "standard")
-    return cls, x, y, config
+    if config is None:
+        config = doc.get("config", "standard")
+    return cls, x, y, _inversion_config(config)
 
 
 def _invert_one(cls, x, y, config, args):
@@ -247,15 +260,11 @@ def _invert_one(cls, x, y, config, args):
 
 
 def cmd_invert(args) -> int:
-    cls, x, y, config = _load_spectrum(args.input)
-    if args.config is not None:
-        config = args.config
+    cls, x, y, config = _load_spectrum(args.input, args.config)
     peaks, result = _invert_one(cls, x, y, config, args)
     combined = None
     if args.second_input:
-        cls2, x2, y2, config2 = _load_spectrum(args.second_input)
-        if args.second_config is not None:
-            config2 = args.second_config
+        cls2, x2, y2, config2 = _load_spectrum(args.second_input, args.second_config)
         if (cls2.J, cls2.p) != (cls.J, cls.p):
             raise CliError("both spectra must declare the same transition class")
         _, result2 = _invert_one(cls2, x2, y2, config2, args)
@@ -282,12 +291,7 @@ def cmd_invert(args) -> int:
     if combined is not None:
         report["combined"] = angles(combined)
         report["combined_unique"] = len(combined) == 1
-    text = json.dumps(report, indent=2) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_json(report, args.output)
     return EXIT_OK
 
 
@@ -305,7 +309,7 @@ def cmd_wigner(args) -> int:
 def cmd_roundtrip(args) -> int:
     cls = _transition_class(args)
     phi_grid = _phi_grid(args)
-    configs = tuple(c.strip() for c in args.configs.split(",") if c.strip())
+    configs = tuple(_inversion_config(c.strip()) for c in args.configs.split(",") if c.strip())
     rows = []
     failures = 0
     for phi in phi_grid:
@@ -328,12 +332,7 @@ def cmd_roundtrip(args) -> int:
         "failures": failures,
         "rows": rows,
     }
-    text = json.dumps(report, indent=2) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_json(report, args.output)
     return EXIT_OK if failures == 0 else EXIT_NUMERICAL
 
 
@@ -360,6 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    configs = ", ".join(PROMINENCE_INTERVALS)
 
     p = sub.add_parser("spectrogram", help="eigenvalue spectrogram over phi")
     _add_class_flags(p)
@@ -378,8 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eit", help="simulated EIT spectrogram")
     p.add_argument("--scenario", required=True, help="scenario config JSON")
     p.add_argument("--optics", default=None,
-                   help="optics preset override (standard, tilted_linear, "
-                        "rotated-circular)")
+                   help="optics preset override (%s)" % ", ".join(OPTICS_PRESETS))
     p.add_argument("--third-level", type=float, default=None, metavar="MHZ",
                    help="enable or override the off-resonant third manifold")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -389,10 +388,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invert", help="phase-angle candidates from a spectrum")
     p.add_argument("--input", required=True, help="spectrum JSON")
     p.add_argument("--config", default=None,
-                   help="optics configuration of the measurement")
+                   help="optics configuration of the measurement (%s; default: "
+                        "the spectrum file's, else standard)" % configs)
     p.add_argument("--second-input", default=None,
                    help="second spectrum (other optics) for combined pruning")
-    p.add_argument("--second-config", default=None)
+    p.add_argument("--second-config", default=None,
+                   help="optics configuration of the second spectrum (%s)" % configs)
     p.add_argument("--central-threshold", type=float, default=0.5,
                    help="relative central-peak prominence dividing "
                         "inside/outside of the pruning interval")
@@ -415,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_class_flags(p)
     _add_phi_flags(p)
     p.add_argument("--configs", default="standard",
-                   help="comma-separated optics configurations")
+                   help="comma-separated optics configurations (%s)" % configs)
     p.add_argument("--angle-tol", type=float, default=1e-6)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(fn=cmd_roundtrip)

@@ -17,7 +17,6 @@ the Rabi conventions).
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -47,15 +46,15 @@ class ThirdLevel:
 
     def __post_init__(self):
         object.__setattr__(self, "j3", HalfInt.of(self.j3))
-        if self.delta3_mhz <= 0:
-            raise ValueError("delta3 must be positive")
+        if not (math.isfinite(self.delta3_mhz) and self.delta3_mhz > 0):
+            raise ValueError("delta3 must be finite and positive, got %r" % self.delta3_mhz)
 
 
 @dataclass(frozen=True)
 class LevelScheme:
     cls: TransitionClass
-    j_intermediate: HalfInt = HalfInt(3)
-    coupling_target: str = "r1"  # which Rydberg manifold the coupling laser drives
+    j_intermediate: HalfInt
+    coupling_target: str  # which Rydberg manifold the coupling laser drives
     third: ThirdLevel | None = None
 
     def __post_init__(self):
@@ -88,17 +87,16 @@ class LevelScheme:
         return out
 
 
-def scheme_for_class(cls: TransitionClass, third_delta3_mhz: float | None = None,
-                     j3=None) -> LevelScheme:
-    """Experiment-matching scheme: J=1/2 classes are laser-probed on r1
-    (S-state), J=3/2 classes on r2 (D-state).  A third level defaults to
-    J3 = J' + 1 one fine-structure partner up (the D5/2 next to a D3/2)."""
+def scheme_for_class(cls: TransitionClass,
+                     third_delta3_mhz: float | None = None) -> LevelScheme:
+    """Experiment-matching scheme, the one home of the scheme defaults:
+    J_i = 3/2; J=1/2 classes are laser-probed on r1 (S-state), the others
+    on r2 (D-state); a third level sits at J3 = J + 1, one fine-structure
+    partner up (the D5/2 next to a D3/2)."""
     target = "r1" if cls.J.twice == 1 else "r2"
     third = None
     if third_delta3_mhz is not None:
-        if j3 is None:
-            j3 = HalfInt(cls.J.twice + 2)
-        third = ThirdLevel(HalfInt.of(j3), third_delta3_mhz)
+        third = ThirdLevel(cls.J + 1, third_delta3_mhz)
     return LevelScheme(cls, HalfInt(3), target, third)
 
 
@@ -253,16 +251,14 @@ def _solve_trace_row(L: np.ndarray, n: int) -> np.ndarray:
     return 0.5 * (rho + rho.conj().T)
 
 
-def steady_state(
-    H: np.ndarray, collapse: list, check_unique: bool = False, null_tol: float = 1e-8
-) -> np.ndarray:
+def steady_state(H: np.ndarray, collapse: list, check_unique: bool = False) -> np.ndarray:
     """Stationary density matrix of the Lindblad generator: the dense
     reference solve, one Liouvillian and one linear system per call."""
     L = liouvillian(H, collapse)
     if check_unique:
         sv = np.linalg.svd(L, compute_uv=False)
         scale = sv[0] if sv[0] > 0 else 1.0
-        if np.sum(sv / scale < null_tol) > 1:
+        if np.sum(sv / scale < 1e-8) > 1:
             raise NonUniqueSteadyState("Lindblad nullspace dimension exceeds 1")
     return _solve_trace_row(L, H.shape[0])
 
@@ -366,8 +362,6 @@ def third_level_sweep(
         raise ValueError("scheme has no third level")
     out = []
     for d3 in delta3_list:
-        if d3 <= 0:
-            raise ValueError("delta3 must be positive")
         s = replace(scheme, third=replace(scheme.third, delta3_mhz=float(d3)))
         out.append(eit_spectrogram(s, params, phi_grid))
     return out
@@ -393,9 +387,12 @@ def scenario_from_dict(cfg: dict) -> tuple:
     """Parse a scenario config into (scheme, params, phi_grid).
 
     Schema: {"class": {"J2": int, "p": int}, "coupling_target"?: str,
-    "third_level"?: {"J2": int, "delta3_mhz": float}, "params"?: {...},
-    "optics"?: preset name or {"propagation_probe": [...], ...},
+    "j_intermediate2"?: int, "third_level"?: {"J2"?: int, "delta3_mhz": float},
+    "params"?: {...}, "optics"?: preset name or {"propagation_probe": [...], ...},
     "phi"?: {"start":., "stop":., "steps": n} or [values]}
+
+    The scheme is scheme_for_class(cls, delta3) with only the fields given
+    (coupling_target, j_intermediate2, third_level.J2) replaced.
     """
     errors = []
     try:
@@ -404,19 +401,22 @@ def scenario_from_dict(cfg: dict) -> tuple:
         errors.append("class: %s" % exc)
         cls = None
 
-    third = None
-    if cfg.get("third_level"):
+    third_cfg = cfg.get("third_level")
+    delta3 = third = None
+    if third_cfg:
         try:
-            third = ThirdLevel(
-                HalfInt(int(cfg["third_level"]["J2"])),
-                float(cfg["third_level"]["delta3_mhz"]),
-            )
+            delta3 = float(third_cfg["delta3_mhz"])
+            if "J2" in third_cfg:
+                third = ThirdLevel(HalfInt(int(third_cfg["J2"])), delta3)
         except (KeyError, ValueError, TypeError) as exc:
             errors.append("third_level: %s" % exc)
 
     optics_cfg = cfg.get("optics", "standard")
     try:
         if isinstance(optics_cfg, str):
+            if optics_cfg not in OPTICS_PRESETS:
+                raise ValueError("unknown preset %r (choices: %s)"
+                                 % (optics_cfg, ", ".join(OPTICS_PRESETS)))
             optics = OPTICS_PRESETS[optics_cfg]()
         else:
             optics = OpticalConfig(
@@ -459,16 +459,12 @@ def scenario_from_dict(cfg: dict) -> tuple:
     if errors:
         raise ValueError("invalid scenario config: " + "; ".join(errors))
 
-    target = cfg.get("coupling_target")
-    if target is None:
-        scheme = scheme_for_class(cls)
-        if third is not None:
-            scheme = replace(scheme, third=third)
-    else:
-        scheme = LevelScheme(cls, HalfInt(int(cfg.get("j_intermediate2", 3))), target, third)
+    changes = {"coupling_target": cfg.get("coupling_target"), "third": third}
+    try:
+        if cfg.get("j_intermediate2") is not None:
+            changes["j_intermediate"] = HalfInt(int(cfg["j_intermediate2"]))
+        scheme = replace(scheme_for_class(cls, third_delta3_mhz=delta3),
+                         **{k: v for k, v in changes.items() if v is not None})
+    except (ValueError, TypeError) as exc:
+        raise ValueError("invalid scenario config: %s" % exc)
     return scheme, params, phi_grid
-
-
-def scenario_from_json(path) -> tuple:
-    with open(path) as fh:
-        return scenario_from_dict(json.load(fh))

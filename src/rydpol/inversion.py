@@ -9,7 +9,7 @@ Two inversion kernels exist, one per invertible class, and they use
 Both produce a principal angle and the fourfold candidate set
 {phi, pi-phi, pi+phi, 2pi-phi}.  For (3/2, +-) the prominence of the
 central peak prunes the set to a twofold {phi, 2pi-phi} pair; combining
-measurements in the standard and rotated-circular optical configurations
+measurements in the standard and rotated_circular optical configurations
 singles out a unique phi.
 """
 
@@ -256,9 +256,8 @@ def phase_from_ratio_approx(R: float) -> float:
 
 
 def phase_from_ratio_exact(R: float) -> float:
-    """Principal angle solving the exact envelope ratio; root-refined from
-    the quadratic-formula estimate.
-    """
+    """Principal angle solving the exact envelope ratio by brentq on
+    [0, pi/2]."""
     if R <= R_FIVE_MIN:
         return 0.0
     if R >= R_FIVE_MAX:
@@ -268,14 +267,22 @@ def phase_from_ratio_exact(R: float) -> float:
     )
 
 
+# phi interval in which the central peak is prominent, per optics
+# configuration; its keys are the configurations the inversion knows
+PROMINENCE_INTERVALS = {
+    "standard": (math.pi / 2.0, 3.0 * math.pi / 2.0),
+    "rotated_circular": (0.0, math.pi),
+}
+
+
 def prominence_interval(config: str) -> tuple:
     """phi interval in which the central peak is prominent for an optics
     configuration."""
-    if config == "standard":
-        return (math.pi / 2.0, 3.0 * math.pi / 2.0)
-    if config in ("rotated_circular", "rotated-circular"):
-        return (0.0, math.pi)
-    raise ValueError("unknown optics configuration %r" % config)
+    try:
+        return PROMINENCE_INTERVALS[config]
+    except KeyError:
+        raise ValueError("unknown optics configuration %r (choices: %s)"
+                         % (config, ", ".join(PROMINENCE_INTERVALS))) from None
 
 
 def invert_five_half(
@@ -286,21 +293,16 @@ def invert_five_half(
     dead_band: float = 0.0,
     tol: float = 1e-6,
     angle_tol: float = 1e-9,
-    refine: bool = True,
 ) -> PhaseCandidates:
     """Candidate phases for a (3/2, +-) ratio, pruned by the central-peak
-    prominence.
-
-    With refine=True the principal angle is solved against the exact
-    envelopes (the quadratic formula serving as the starting estimate);
-    otherwise the quadratic closed form is used as-is.
+    prominence; the principal angle solves the exact envelope ratio.
     """
     if R < R_FIVE_MIN - tol or R > R_FIVE_MAX + tol:
         raise OutOfRange(
             "ratio %g outside [sqrt(3/2), sqrt(10)]" % R
         )
     R = min(max(R, R_FIVE_MIN), R_FIVE_MAX)
-    principal = phase_from_ratio_exact(R) if refine else phase_from_ratio_approx(R)
+    principal = phase_from_ratio_exact(R)
     cands = _fourfold(principal, angle_tol)
 
     if dead_band > 0 and abs(central_prominence - central_threshold) <= dead_band:
@@ -335,10 +337,11 @@ def combine_candidates(first: PhaseCandidates, second: PhaseCandidates,
     return tuple(sorted(set(out)))
 
 
-def peakset_from_eigenvalues(cls: TransitionClass, eigenvalues,
-                             zero_tol: float = 1e-9) -> PeakSet:
+def peakset_from_eigenvalues(cls: TransitionClass, eigenvalues) -> PeakSet:
     """Idealized PeakSet taken directly from dressed eigenvalues (no line
-    shape); the independent route for eigenvalue-level round trips."""
+    shape); the independent route for eigenvalue-level round trips.
+    Eigenvalues within 1e-9 of zero count as the central line."""
+    zero_tol = 1e-9
     ev = np.sort(np.asarray(eigenvalues, dtype=float))
     nonzero = ev[np.abs(ev) > zero_tol]
     has_central = len(nonzero) < len(ev)

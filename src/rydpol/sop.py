@@ -189,11 +189,11 @@ class OpticalConfig:
             if abs(np.vdot(k.astype(complex), p)) > 1e-6:
                 raise ValueError("polarization must be transverse to propagation")
 
-    def probe_components(self, quantization_axis=(0.0, 0.0, 1.0)):
-        return spherical_components(self.pol_probe, quantization_axis)
+    def probe_components(self):
+        return spherical_components(self.pol_probe, (0.0, 0.0, 1.0))
 
-    def coupling_components(self, quantization_axis=(0.0, 0.0, 1.0)):
-        return spherical_components(self.pol_coupling, quantization_axis)
+    def coupling_components(self):
+        return spherical_components(self.pol_coupling, (0.0, 0.0, 1.0))
 
 
 def _circular_pol(k, handedness: int) -> tuple:
@@ -254,7 +254,6 @@ OPTICS_PRESETS = {
     "standard": standard_optics,
     "tilted_linear": tilted_linear_optics,
     "rotated_circular": rotated_circular_optics,
-    "rotated-circular": rotated_circular_optics,
 }
 
 

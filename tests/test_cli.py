@@ -154,6 +154,30 @@ class TestEitCommand:
         assert "third level needs J3 = J or J+1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,third", [
+        (["--third-level", "nan"], None),
+        (["--third-level", "inf"], {"J2": 5, "delta3_mhz": 100.0}),
+        ([], {"J2": 5, "delta3_mhz": "inf"}),
+    ], ids=["flag_nan", "flag_inf_over_scenario", "scenario_inf"])
+    def test_non_finite_third_level_invalid_input(self, tmp_path, capsys, flag, third):
+        path = self.scenario(tmp_path, **{"class": {"J2": 3, "p": 1}, "third_level": third})
+        out = tmp_path / "x.csv"
+        rc = main(["eit", "--scenario", str(path), "-o", str(out)] + flag)
+        assert rc == 3
+        assert "delta3 must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_third_level_flag_keeps_coupling_target(self, tmp_path):
+        five_r1 = {"class": {"J2": 3, "p": 1}, "coupling_target": "r1"}
+        flag_out, explicit_out = tmp_path / "flag.csv", tmp_path / "explicit.csv"
+        rc = main(["eit", "--scenario", str(self.scenario(tmp_path, **five_r1)),
+                   "--third-level", "100", "-o", str(flag_out)])
+        assert rc == 0
+        explicit = self.scenario(tmp_path, third_level={"J2": 5, "delta3_mhz": 100},
+                                 **five_r1)
+        assert main(["eit", "--scenario", str(explicit), "-o", str(explicit_out)]) == 0
+        assert flag_out.read_bytes() == explicit_out.read_bytes()
+
     @pytest.mark.parametrize("params", [
         {"omega_rf": "nan"},
         {"coupling_detuning_grid": []},
@@ -288,6 +312,38 @@ class TestInvertCommand:
         write_spectrum(b, TransitionClass.of(1.5, 1), 0.5)
         rc = main(["invert", "--input", str(a), "--second-input", str(b)])
         assert rc == 3
+
+
+class TestConfigNames:
+    """Every inversion config name goes through one check: exit 3 listing
+    the valid names, before any inversion runs."""
+
+    @pytest.mark.parametrize("case", [
+        "roundtrip_bogus", "roundtrip_tilted", "invert_five", "invert_half", "file_config",
+    ])
+    def test_unknown_config_invalid_input(self, tmp_path, capsys, case):
+        five, half = TransitionClass.of(1.5, 1), TransitionClass.of(0.5, 0)
+        spec = tmp_path / "spec.json"
+        if case.startswith("roundtrip"):
+            name = "bogus" if case == "roundtrip_bogus" else "tilted_linear"
+            argv = ["roundtrip", "--J2", "3", "--p", "1", "--phi-steps", "3",
+                    "--configs", "standard," + name]
+        elif case == "file_config":
+            name = "bogus"
+            write_spectrum(spec, five, 0.7, config=name)
+            argv = ["invert", "--input", str(spec), "--central-tol", "1.0"]
+        else:
+            name = "bogus"
+            write_spectrum(spec, five if case == "invert_five" else half, 0.7)
+            argv = ["invert", "--input", str(spec), "--central-tol", "1.0",
+                    "--config", name]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: unknown optics configuration %r (choices: standard, "
+            "rotated_circular)\n" % name
+        )
 
 
 class TestWignerCommand:

@@ -73,8 +73,9 @@ class TestLevelScheme:
             LevelScheme(HALF_ZERO, HalfInt(3), "r5")
 
     def test_third_level_validation(self):
-        with pytest.raises(ValueError):
-            ThirdLevel(HalfInt(5), -1.0)
+        for delta3 in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="delta3 must be finite and positive"):
+                ThirdLevel(HalfInt(5), delta3)
         with pytest.raises(ValueError):
             LevelScheme(HALF_ZERO, HalfInt(3), "r1", ThirdLevel(HalfInt(7), 10.0))
         # within one unit of J but not J or J+1: no RF class to build it from
@@ -347,3 +348,22 @@ class TestScenarioParsing:
             {"class": {"J2": 3, "p": 1}, "coupling_target": "r1"}
         )
         assert scheme.coupling_target == "r1"
+
+    @pytest.mark.parametrize("extra,target,j_i2,j3_2", [
+        ({"j_intermediate2": 1}, "r2", 1, None),
+        ({"third_level": {"delta3_mhz": 100.0}}, "r2", 3, 5),
+        ({"coupling_target": "r1", "third_level": {"delta3_mhz": 100.0}}, "r1", 3, 5),
+    ], ids=["j_intermediate", "third_default_j3", "target_and_third"])
+    def test_overrides_only_given_fields(self, extra, target, j_i2, j3_2):
+        scheme, _, _ = scenario_from_dict(dict({"class": {"J2": 3, "p": 1}}, **extra))
+        assert scheme.coupling_target == target
+        assert scheme.j_intermediate == HalfInt(j_i2)
+        assert (scheme.third and scheme.third.j3.twice) == j3_2
+
+    @pytest.mark.parametrize("third", [
+        {"J2": 5, "delta3_mhz": "inf"},
+        {"delta3_mhz": "nan"},
+    ], ids=["explicit_j3_inf", "default_j3_nan"])
+    def test_non_finite_delta3_rejected(self, third):
+        with pytest.raises(ValueError, match="delta3 must be finite and positive"):
+            scenario_from_dict({"class": {"J2": 3, "p": 1}, "third_level": third})

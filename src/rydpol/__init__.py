@@ -3,7 +3,8 @@
 Forward modeling of RF-dressed Rydberg manifolds (eigenvalue spectrograms
 and simulated EIT spectra as a function of the field's state of
 polarization) and the inverse problem of recovering candidate phase
-angles from measured spectra.
+angles from measured spectra.  The names imported below are the public
+API.
 """
 
 from .angular import (
@@ -43,6 +44,7 @@ from .inversion import (
     extract_peaks,
     invert_five_half,
     invert_half,
+    invert_peaks,
     ratio_five_half,
     ratio_half,
     round_trip,
@@ -60,48 +62,3 @@ from .sop import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "EXPERIMENTAL_CLASSES",
-    "HalfInt",
-    "LevelScheme",
-    "OpticalConfig",
-    "OPTICS_PRESETS",
-    "PeakSet",
-    "PhaseCandidates",
-    "RfSop",
-    "SimParams",
-    "StokesVector",
-    "ThirdLevel",
-    "TransitionClass",
-    "build_hamiltonian",
-    "closed_form_eigenvalues_half",
-    "combine_candidates",
-    "coupling_matrix",
-    "dipole_angular_factor",
-    "eigen_spectrum",
-    "eit_spectrogram",
-    "eit_spectrum",
-    "envelopes_approx",
-    "envelopes_exact",
-    "extract_peaks",
-    "invert_five_half",
-    "invert_half",
-    "oracle_matrix",
-    "oracle_scale",
-    "ratio_five_half",
-    "ratio_half",
-    "reduced_coupling_strength",
-    "rotated_circular_optics",
-    "round_trip",
-    "scheme_for_class",
-    "sop_from_phi",
-    "spectrogram",
-    "standard_optics",
-    "steady_state",
-    "stokes_from_phi",
-    "third_level_sweep",
-    "tilted_linear_optics",
-    "wigner3j",
-    "wigner6j",
-]

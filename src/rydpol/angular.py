@@ -79,8 +79,17 @@ class HalfInt:
     def is_integer(self) -> bool:
         return self.twice % 2 == 0
 
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.twice, 2)
+
+def integral(value, name: str) -> int:
+    """value as an int if it is integral (3, 3.0 or "3"); ValueError naming
+    the field otherwise, where int() would truncate 1.5 to 1."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not number.is_integer():
+        raise ValueError("%s must be an integer, got %r" % (name, value))
+    return int(number)
 
 
 def _fact(n: int) -> int:

@@ -37,6 +37,7 @@ from .angular import HalfInt, wigner3j, wigner6j
 from . import dressing
 from .dressing import (
     TransitionClass,
+    class_from_spec,
     envelopes_approx,
     envelopes_exact,
     spectrogram,
@@ -49,10 +50,8 @@ from .inversion import (
     NotInvertible,
     combine_candidates,
     extract_peaks,
-    invert_five_half,
-    invert_half,
-    ratio_five_half,
-    ratio_half,
+    invert_peaks,
+    prominence_interval,
     round_trip,
 )
 from .sop import OPTICS_PRESETS, sop_from_phi
@@ -125,9 +124,10 @@ def _write_json(doc, path) -> None:
 
 
 def _inversion_config(name) -> str:
-    if not isinstance(name, str) or name not in PROMINENCE_INTERVALS:
-        raise CliError("unknown optics configuration %r (choices: %s)"
-                       % (name, ", ".join(PROMINENCE_INTERVALS)))
+    try:
+        prominence_interval(name)
+    except ValueError as exc:
+        raise CliError(str(exc))
     return name
 
 
@@ -198,7 +198,8 @@ def cmd_eit(args) -> int:
 
 
 def _load_spectrum(path: str, config):
-    """(cls, x, y, config) of a spectrum file; a config not None overrides the file's."""
+    """(cls, x, y, config) of a spectrum file; a config not None overrides the
+    file's.  The arrays are checked by extract_peaks."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -213,7 +214,7 @@ def _load_spectrum(path: str, config):
     if problems:
         raise CliError("%s: %s" % (path, "; ".join(problems)))
     try:
-        cls = TransitionClass(HalfInt(int(doc["class"]["J2"])), int(doc["class"]["p"]))
+        cls = class_from_spec(doc["class"])
     except (KeyError, ValueError, TypeError) as exc:
         raise CliError("%s: bad class spec: %s" % (path, exc))
     try:
@@ -221,20 +222,12 @@ def _load_spectrum(path: str, config):
         y = np.asarray(doc["amplitude"], dtype=float)
     except (ValueError, TypeError) as exc:
         raise CliError("%s: detuning and amplitude must be numbers: %s" % (path, exc))
-    if x.shape != y.shape or x.ndim != 1:
-        raise CliError("%s: detuning and amplitude must be equal-length 1-D" % path)
-    if x.size < 8:
-        raise CliError("%s: need at least 8 samples, got %d" % (path, x.size))
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise CliError("%s: detuning and amplitude must be finite" % path)
-    if np.any(np.diff(x) <= 0):
-        raise CliError("%s: detuning grid must be strictly increasing" % path)
     if config is None:
         config = doc.get("config", "standard")
     return cls, x, y, _inversion_config(config)
 
 
-def _invert_one(cls, x, y, config, args):
+def _invert_one(path, cls, x, y, config, args):
     try:
         peaks = extract_peaks(
             x, y,
@@ -242,32 +235,24 @@ def _invert_one(cls, x, y, config, args):
             merge_tol=args.merge_tol,
             central_tol=args.central_tol,
         )
+    except ValueError as exc:
+        raise CliError("%s: %s" % (path, exc))
     except InversionError as exc:
         raise CliError("peak extraction failed: %s" % exc, EXIT_NUMERICAL)
-    if cls.J.twice == 1 and cls.p == 0:
-        R = ratio_half(peaks)
-        return peaks, invert_half(R)
-    if cls.J.twice == 3 and cls.p != 0:
-        R = ratio_five_half(peaks)
-        rel = peaks.central_prominence / max(peaks.prominences)
-        return peaks, invert_five_half(
-            R, rel, args.central_threshold, config=config, tol=args.ratio_tol
-        )
-    raise CliError(
-        "class %s is not invertible; supported classes are 1/2^0 and 3/2^+-"
-        % cls.label()
-    )
+    rel = peaks.central_prominence / max(peaks.prominences)
+    return peaks, invert_peaks(cls, peaks, rel, args.central_threshold, config,
+                               args.ratio_tol)
 
 
 def cmd_invert(args) -> int:
     cls, x, y, config = _load_spectrum(args.input, args.config)
-    peaks, result = _invert_one(cls, x, y, config, args)
+    peaks, result = _invert_one(args.input, cls, x, y, config, args)
     combined = None
     if args.second_input:
         cls2, x2, y2, config2 = _load_spectrum(args.second_input, args.second_config)
         if (cls2.J, cls2.p) != (cls.J, cls.p):
             raise CliError("both spectra must declare the same transition class")
-        _, result2 = _invert_one(cls2, x2, y2, config2, args)
+        _, result2 = _invert_one(args.second_input, cls2, x2, y2, config2, args)
         combined = combine_candidates(result, result2, angle_tol=args.angle_tol)
 
     def angles(values):

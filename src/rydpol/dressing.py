@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angular import HalfInt, reduced_coupling_strength, wigner3j
+from .angular import HalfInt, integral, reduced_coupling_strength, wigner3j
 from .sop import RfSop
 
 _SQRT2 = math.sqrt(2.0)
@@ -70,6 +70,13 @@ class TransitionClass:
         num = "%d/2" % self.J.twice if self.J.twice % 2 else "%d" % (self.J.twice // 2)
         sign = {0: "0", 1: "+", -1: "-"}[self.p]
         return "%s^%s" % (num, sign)
+
+
+def class_from_spec(spec) -> TransitionClass:
+    """Transition class of a {"J2": 2J, "p": p} mapping, as scenario and
+    spectrum files write it; KeyError for a missing key, ValueError for a
+    non-integral or invalid value."""
+    return TransitionClass(HalfInt(integral(spec["J2"], "J2")), integral(spec["p"], "p"))
 
 
 EXPERIMENTAL_CLASSES = (
@@ -273,18 +280,12 @@ def envelopes_approx(phi: float) -> EnvelopePair:
     return EnvelopePair(outer, -outer, inner, -inner)
 
 
-def spectrogram_rows(spectra: list):
-    """Yield (phi, band_index, eigenvalue) rows in deterministic order."""
-    for spec in spectra:
-        for k, ev in enumerate(spec.eigenvalues):
-            yield spec.phi, k, float(ev)
-
-
 def write_spectrogram_csv(path, spectra: list) -> None:
     with open(path, "w") as fh:
         fh.write("phi,band_index,eigenvalue\n")
-        for phi, k, ev in spectrogram_rows(spectra):
-            fh.write("%.9g,%d,%.9g\n" % (phi, k, ev))
+        for spec in spectra:
+            for k, ev in enumerate(spec.eigenvalues):
+                fh.write("%.9g,%d,%.9g\n" % (spec.phi, k, float(ev)))
 
 
 def spectrogram_json_dict(spectra: list) -> dict:

@@ -24,8 +24,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angular import HalfInt
-from .dressing import TransitionClass, dipole_block, oracle_scale, rf_block
+from .angular import HalfInt, integral
+from .dressing import TransitionClass, class_from_spec, dipole_block, oracle_scale, rf_block
 from .sop import OpticalConfig, OPTICS_PRESETS, RfSop, sop_from_phi, standard_optics
 
 
@@ -61,6 +61,15 @@ class LevelScheme:
         object.__setattr__(self, "j_intermediate", HalfInt.of(self.j_intermediate))
         if self.coupling_target not in ("r1", "r2"):
             raise ValueError("coupling_target must be 'r1' or 'r2'")
+        # the probe (from the J = 1/2 ground) and the coupling laser need |dJ| <= 1
+        ji = self.j_intermediate.twice
+        jt = (self.cls.J if self.coupling_target == "r1" else self.cls.j_prime).twice
+        if ji not in (1, 3):
+            raise ValueError("j_intermediate must be a dipole partner of the J = 1/2 "
+                             "ground: 2*J_i must be 1 or 3, got %d" % ji)
+        if abs(jt - ji) > 2:
+            raise ValueError("coupling_target %s (2*J = %d) is out of dipole reach of "
+                             "j_intermediate (2*J_i = %d)" % (self.coupling_target, jt, ji))
         # the r1 <-> r3 RF coupling is built as class (J, 0) or (J, +1)
         if self.third is not None and self.third.j3 not in (self.cls.J, self.cls.J + 1):
             raise ValueError(
@@ -87,17 +96,20 @@ class LevelScheme:
         return out
 
 
+def _scheme_fields(cls: TransitionClass, third_delta3_mhz: float | None) -> dict:
+    """The one home of the scheme defaults: J_i = 3/2; J=1/2 classes are
+    laser-probed on r1 (S-state), the others on r2 (D-state); a third level
+    sits at J3 = J + 1, one fine-structure partner up (the D5/2 next to a
+    D3/2)."""
+    third = None if third_delta3_mhz is None else ThirdLevel(cls.J + 1, third_delta3_mhz)
+    return {"j_intermediate": HalfInt(3), "third": third,
+            "coupling_target": "r1" if cls.J.twice == 1 else "r2"}
+
+
 def scheme_for_class(cls: TransitionClass,
                      third_delta3_mhz: float | None = None) -> LevelScheme:
-    """Experiment-matching scheme, the one home of the scheme defaults:
-    J_i = 3/2; J=1/2 classes are laser-probed on r1 (S-state), the others
-    on r2 (D-state); a third level sits at J3 = J + 1, one fine-structure
-    partner up (the D5/2 next to a D3/2)."""
-    target = "r1" if cls.J.twice == 1 else "r2"
-    third = None
-    if third_delta3_mhz is not None:
-        third = ThirdLevel(cls.J + 1, third_delta3_mhz)
-    return LevelScheme(cls, HalfInt(3), target, third)
+    """Experiment-matching scheme of a class, with the defaults above."""
+    return LevelScheme(cls, **_scheme_fields(cls, third_delta3_mhz))
 
 
 @dataclass(frozen=True)
@@ -383,6 +395,18 @@ def spectrogram_json_dict(spg: EitSpectrogram) -> dict:
     }
 
 
+def _grid(spec) -> np.ndarray:
+    """A {"start", "stop", "steps"} range or a list of values; ValueError
+    unless it is non-empty and finite."""
+    if isinstance(spec, dict):
+        grid = np.linspace(spec["start"], spec["stop"], integral(spec["steps"], "steps"))
+    else:
+        grid = np.asarray([float(v) for v in spec])
+    if grid.size == 0 or not np.all(np.isfinite(grid)):
+        raise ValueError("grid must be a non-empty list of finite values")
+    return grid
+
+
 def scenario_from_dict(cfg: dict) -> tuple:
     """Parse a scenario config into (scheme, params, phi_grid).
 
@@ -392,11 +416,12 @@ def scenario_from_dict(cfg: dict) -> tuple:
     "phi"?: {"start":., "stop":., "steps": n} or [values]}
 
     The scheme is scheme_for_class(cls, delta3) with only the fields given
-    (coupling_target, j_intermediate2, third_level.J2) replaced.
+    (coupling_target, j_intermediate2, third_level.J2) replaced; an
+    override can make a scheme valid whose default is not.
     """
     errors = []
     try:
-        cls = TransitionClass(HalfInt(int(cfg["class"]["J2"])), int(cfg["class"]["p"]))
+        cls = class_from_spec(cfg["class"])
     except (KeyError, ValueError, TypeError) as exc:
         errors.append("class: %s" % exc)
         cls = None
@@ -407,7 +432,7 @@ def scenario_from_dict(cfg: dict) -> tuple:
         try:
             delta3 = float(third_cfg["delta3_mhz"])
             if "J2" in third_cfg:
-                third = ThirdLevel(HalfInt(int(third_cfg["J2"])), delta3)
+                third = ThirdLevel(HalfInt(integral(third_cfg["J2"], "J2")), delta3)
         except (KeyError, ValueError, TypeError) as exc:
             errors.append("third_level: %s" % exc)
 
@@ -434,24 +459,14 @@ def scenario_from_dict(cfg: dict) -> tuple:
     try:
         kwargs = {k: float(v) for k, v in p.items()}
         if grid_cfg is not None:
-            if isinstance(grid_cfg, dict):
-                grid = tuple(
-                    np.linspace(grid_cfg["start"], grid_cfg["stop"], int(grid_cfg["steps"]))
-                )
-            else:
-                grid = tuple(float(v) for v in grid_cfg)
-            kwargs["coupling_detuning_grid"] = grid
+            kwargs["coupling_detuning_grid"] = tuple(_grid(grid_cfg))
         params = SimParams(optics=optics, **kwargs)
     except (KeyError, ValueError, TypeError) as exc:
         errors.append("params: %s" % exc)
         params = None
 
-    phi_cfg = cfg.get("phi", {"start": 0.0, "stop": 2 * math.pi, "steps": 32})
     try:
-        if isinstance(phi_cfg, dict):
-            phi_grid = np.linspace(phi_cfg["start"], phi_cfg["stop"], int(phi_cfg["steps"]))
-        else:
-            phi_grid = np.asarray([float(v) for v in phi_cfg])
+        phi_grid = _grid(cfg.get("phi", {"start": 0.0, "stop": 2 * math.pi, "steps": 32}))
     except (KeyError, ValueError, TypeError) as exc:
         errors.append("phi: %s" % exc)
         phi_grid = None
@@ -459,12 +474,13 @@ def scenario_from_dict(cfg: dict) -> tuple:
     if errors:
         raise ValueError("invalid scenario config: " + "; ".join(errors))
 
-    changes = {"coupling_target": cfg.get("coupling_target"), "third": third}
+    given = {"coupling_target": cfg.get("coupling_target"), "third": third}
     try:
         if cfg.get("j_intermediate2") is not None:
-            changes["j_intermediate"] = HalfInt(int(cfg["j_intermediate2"]))
-        scheme = replace(scheme_for_class(cls, third_delta3_mhz=delta3),
-                         **{k: v for k, v in changes.items() if v is not None})
+            given["j_intermediate"] = HalfInt(integral(cfg["j_intermediate2"], "j_intermediate2"))
+        fields = _scheme_fields(cls, delta3)
+        fields.update((k, v) for k, v in given.items() if v is not None)
+        scheme = LevelScheme(cls, **fields)
     except (ValueError, TypeError) as exc:
         raise ValueError("invalid scenario config: %s" % exc)
     return scheme, params, phi_grid

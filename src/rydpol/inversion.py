@@ -10,21 +10,24 @@ Both produce a principal angle and the fourfold candidate set
 {phi, pi-phi, pi+phi, 2pi-phi}.  For (3/2, +-) the prominence of the
 central peak prunes the set to a twofold {phi, 2pi-phi} pair; combining
 measurements in the standard and rotated_circular optical configurations
-singles out a unique phi.
+singles out a unique phi.  invert_peaks is the one map from a class and
+its peaks to candidates; the CLI and round_trip both go through it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.signal import find_peaks, peak_prominences
+from scipy.signal import find_peaks
 
 from .dressing import TransitionClass, eigen_spectrum, envelopes_exact
 
 _TWO_PI = 2.0 * math.pi
+# candidates closer than this (radians) are one candidate
+_ANGLE_TOL = 1e-9
 R_FIVE_MIN = math.sqrt(1.5)
 R_FIVE_MAX = math.sqrt(10.0)
 
@@ -201,19 +204,19 @@ def ratio_half(peaks: PeakSet, tol: float = 1e-9) -> float:
     return min(max(r, 0.0), 1.0)
 
 
-def invert_half(R: float, tol: float = 1e-9, angle_tol: float = 1e-9) -> PhaseCandidates:
+def invert_half(R: float, tol: float = 1e-9) -> PhaseCandidates:
     """Candidate phases for a (1/2, 0) ratio: phi~ = 2[pi/4 - arctan R]."""
     if R < -tol or R > 1.0 + tol:
         raise OutOfRange("ratio %g outside [0, 1]" % R)
     R = min(max(R, 0.0), 1.0)
     principal = 2.0 * (math.pi / 4.0 - math.atan(R))
-    cands = _fourfold(principal, angle_tol)
+    cands = _fourfold(principal)
     return PhaseCandidates(
         principal, cands, cands, _ambiguity_name(len(cands)), R
     )
 
 
-def _fourfold(principal: float, angle_tol: float) -> tuple:
+def _fourfold(principal: float) -> tuple:
     raw = [
         principal % _TWO_PI,
         (math.pi - principal) % _TWO_PI,
@@ -222,9 +225,9 @@ def _fourfold(principal: float, angle_tol: float) -> tuple:
     ]
     out = []
     for c in sorted(raw):
-        if not out or _angle_dist(c, out[-1]) > angle_tol:
+        if not out or _angle_dist(c, out[-1]) > _ANGLE_TOL:
             out.append(c)
-    if len(out) > 1 and _angle_dist(out[0], out[-1]) <= angle_tol:
+    if len(out) > 1 and _angle_dist(out[0], out[-1]) <= _ANGLE_TOL:
         out.pop()
     return tuple(out)
 
@@ -277,10 +280,10 @@ PROMINENCE_INTERVALS = {
 
 def prominence_interval(config: str) -> tuple:
     """phi interval in which the central peak is prominent for an optics
-    configuration."""
+    configuration; ValueError for any other name, unhashable ones included."""
     try:
         return PROMINENCE_INTERVALS[config]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ValueError("unknown optics configuration %r (choices: %s)"
                          % (config, ", ".join(PROMINENCE_INTERVALS))) from None
 
@@ -292,7 +295,6 @@ def invert_five_half(
     config: str = "standard",
     dead_band: float = 0.0,
     tol: float = 1e-6,
-    angle_tol: float = 1e-9,
 ) -> PhaseCandidates:
     """Candidate phases for a (3/2, +-) ratio, pruned by the central-peak
     prominence; the principal angle solves the exact envelope ratio.
@@ -303,7 +305,7 @@ def invert_five_half(
         )
     R = min(max(R, R_FIVE_MIN), R_FIVE_MAX)
     principal = phase_from_ratio_exact(R)
-    cands = _fourfold(principal, angle_tol)
+    cands = _fourfold(principal)
 
     if dead_band > 0 and abs(central_prominence - central_threshold) <= dead_band:
         return PhaseCandidates(
@@ -324,6 +326,27 @@ def invert_five_half(
     return PhaseCandidates(
         principal, cands, pruned, _ambiguity_name(len(pruned)), R
     )
+
+
+def _config_free(cls: TransitionClass) -> bool:
+    """True for (1/2, 0), False for (3/2, +-), NotInvertible otherwise."""
+    if cls.J.twice == 1 and cls.p == 0:
+        return True
+    if cls.J.twice == 3 and cls.p != 0:
+        return False
+    raise NotInvertible("class %s is not invertible; supported classes are 1/2^0 "
+                        "and 3/2^+-" % cls.label())
+
+
+def invert_peaks(cls: TransitionClass, peaks: PeakSet, central_prominence: float,
+                 central_threshold: float, config: str, tol: float) -> PhaseCandidates:
+    """Candidate phases of a class's peaks, the one map from a class to its
+    ratio and kernel: inner/outer into invert_half for (1/2, 0), which needs
+    no other argument; outer/inner into invert_five_half for (3/2, +-)."""
+    if _config_free(cls):
+        return invert_half(ratio_half(peaks))
+    return invert_five_half(ratio_five_half(peaks), central_prominence,
+                            central_threshold, config=config, tol=tol)
 
 
 def combine_candidates(first: PhaseCandidates, second: PhaseCandidates,
@@ -390,32 +413,23 @@ def round_trip(
     shapes live in the eitsim demos/tests.)
     """
     phi_true = phi_true % _TWO_PI
-    half = cls.J.twice == 1 and cls.p == 0
-    five = cls.J.twice == 3 and cls.p != 0
-    if not (half or five):
-        raise NotInvertible(
-            "inversion supports classes (1/2,0) and (3/2,+-), not %s" % cls.label()
-        )
-    spec = eigen_spectrum(cls, phi_true)
-    peaks = peakset_from_eigenvalues(cls, spec.eigenvalues)
-    per_config = {}
-    if half:
-        result = invert_half(ratio_half(peaks))
-        per_config["any"] = result
-        combined = result.pruned
+    config_free = _config_free(cls)  # NotInvertible before any peak error
+    peaks = peakset_from_eigenvalues(cls, eigen_spectrum(cls, phi_true).eigenvalues)
+    if config_free:
+        per_config = {"any": invert_peaks(cls, peaks, 0.0, 0.5, "standard", 1e-6)}
     else:
-        R = ratio_five_half(peaks)
+        per_config = {}
         for config in configs:
             lo, hi = prominence_interval(config)
             cp = 1.0 if lo <= phi_true <= hi else 0.0
-            per_config[config] = invert_five_half(R, cp, 0.5, config=config)
-        results = list(per_config.values())
-        combined = results[0].pruned
-        for other in results[1:]:
-            inter = combine_candidates(
-                PhaseCandidates(0, combined, combined, "", R), other,
-                angle_tol=max(angle_tol, 1e-9),
-            )
-            combined = inter if inter else combined
+            per_config[config] = invert_peaks(cls, peaks, cp, 0.5, config, 1e-6)
+    results = list(per_config.values())
+    combined = results[0].pruned
+    for other in results[1:]:
+        inter = combine_candidates(
+            PhaseCandidates(0, combined, combined, "", other.ratio), other,
+            angle_tol=max(angle_tol, 1e-9),
+        )
+        combined = inter if inter else combined
     recovered = any(_angle_dist(phi_true, c) <= angle_tol for c in combined)
     return RoundTripReport(cls, phi_true, per_config, combined, recovered, angle_tol)

@@ -25,7 +25,6 @@ distinction.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -90,22 +89,6 @@ class RfSop:
         s3 = 2.0 * (ex.conjugate() * ey).imag
         return StokesVector(s1, s2, s3)
 
-    def to_json_dict(self) -> dict:
-        if self.phi is not None:
-            return {"phi": self.phi}
-        return {
-            "amp_plus": [self.amp_plus.real, self.amp_plus.imag],
-            "amp_minus": [self.amp_minus.real, self.amp_minus.imag],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "RfSop":
-        if "phi" in d:
-            return sop_from_phi(float(d["phi"]))
-        ap = complex(*d["amp_plus"])
-        am = complex(*d["amp_minus"])
-        return cls.from_amplitudes(ap, am)
-
 
 def sop_from_phi(phi: float) -> RfSop:
     """Meridian SOP for a phase angle phi between the two antenna ports."""
@@ -148,8 +131,9 @@ def frame_for_axis(axis) -> np.ndarray:
     return np.vstack([x, y, z])
 
 
-def spherical_components(pol, quantization_axis) -> tuple[complex, complex, complex]:
-    """Decompose a unit Jones vector onto (e_-1, e_0, e_+1) of the given axis.
+def spherical_components(pol) -> tuple[complex, complex, complex]:
+    """Decompose a unit lab-frame Jones vector onto (e_-1, e_0, e_+1) of the
+    z quantization axis.
 
     Returns (c_minus, c_zero, c_plus) with |c-|^2 + |c0|^2 + |c+|^2 = 1 for
     unit input.
@@ -157,16 +141,10 @@ def spherical_components(pol, quantization_axis) -> tuple[complex, complex, comp
     pol = np.asarray(pol, dtype=complex)
     if np.linalg.norm(pol) < 1e-12:
         raise ValueError("zero-norm polarization vector")
-    frame = frame_for_axis(quantization_axis)
-    px, py, pz = frame @ pol
     e_plus = np.array([-1.0, -1.0j, 0.0]) / _SQRT2
     e_minus = np.array([1.0, -1.0j, 0.0]) / _SQRT2
     e_zero = np.array([0.0, 0.0, 1.0])
-    local = np.array([px, py, pz])
-    c_minus = np.vdot(e_minus, local)
-    c_zero = np.vdot(e_zero, local)
-    c_plus = np.vdot(e_plus, local)
-    return complex(c_minus), complex(c_zero), complex(c_plus)
+    return tuple(complex(np.vdot(e, pol)) for e in (e_minus, e_zero, e_plus))
 
 
 @dataclass(frozen=True)
@@ -190,17 +168,17 @@ class OpticalConfig:
                 raise ValueError("polarization must be transverse to propagation")
 
     def probe_components(self):
-        return spherical_components(self.pol_probe, (0.0, 0.0, 1.0))
+        return spherical_components(self.pol_probe)
 
     def coupling_components(self):
-        return spherical_components(self.pol_coupling, (0.0, 0.0, 1.0))
+        return spherical_components(self.pol_coupling)
 
 
-def _circular_pol(k, handedness: int) -> tuple:
+def _circular_pol(k) -> tuple:
     k = _unit(k)
     frame = frame_for_axis(k)
     e1, e2 = frame[0], frame[1]
-    p = (e1 + handedness * 1j * e2) / _SQRT2
+    p = (e1 + 1j * e2) / _SQRT2
     return tuple(p)
 
 
@@ -215,14 +193,15 @@ def standard_optics() -> OpticalConfig:
     )
 
 
-def tilted_linear_optics(angle: float = math.pi / 4.0) -> OpticalConfig:
-    """Beams along +-y, linearly polarized in the x-z plane at the given
-    angle from x.
+def tilted_linear_optics() -> OpticalConfig:
+    """Beams along +-y, linearly polarized in the x-z plane at 45 degrees
+    from x.
 
     The z (pi) component keeps every dressed band optically visible across
     the whole phi range, which the pure-x configuration does not; useful
     when peak positions rather than prominence symmetries are the point.
     """
+    angle = math.pi / 4.0
     pol = (math.cos(angle), 0.0, math.sin(angle))
     return OpticalConfig(
         propagation_probe=(0.0, 1.0, 0.0),
@@ -233,7 +212,7 @@ def tilted_linear_optics(angle: float = math.pi / 4.0) -> OpticalConfig:
     )
 
 
-def rotated_circular_optics(handedness: int = 1) -> OpticalConfig:
+def rotated_circular_optics() -> OpticalConfig:
     """Circularly polarized beams counter-propagating along y - z.
 
     This geometry breaks the phi <-> 2pi - phi mirror symmetry of the EIT
@@ -244,8 +223,8 @@ def rotated_circular_optics(handedness: int = 1) -> OpticalConfig:
     return OpticalConfig(
         propagation_probe=kp,
         propagation_coupling=kc,
-        pol_probe=_circular_pol(kp, handedness),
-        pol_coupling=_circular_pol(kc, handedness),
+        pol_probe=_circular_pol(kp),
+        pol_coupling=_circular_pol(kc),
         name="rotated_circular",
     )
 
@@ -255,11 +234,3 @@ OPTICS_PRESETS = {
     "tilted_linear": tilted_linear_optics,
     "rotated_circular": rotated_circular_optics,
 }
-
-
-def sop_to_json(sop: RfSop) -> str:
-    return json.dumps(sop.to_json_dict())
-
-
-def sop_from_json(text: str) -> RfSop:
-    return RfSop.from_json_dict(json.loads(text))

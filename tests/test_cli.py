@@ -191,6 +191,47 @@ class TestEitCommand:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("phi", [
+        ["nan"], [], {"start": 0, "stop": 1, "steps": 0},
+    ], ids=["nan", "empty", "zero_steps"])
+    def test_bad_phi_grid_invalid_input(self, tmp_path, capsys, phi):
+        out = tmp_path / "x.csv"
+        rc = main(["eit", "--scenario", str(self.scenario(tmp_path, phi=phi)),
+                   "-o", str(out)])
+        assert rc == 3
+        assert "phi:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra,field", [
+        ({"j_intermediate2": 0}, "j_intermediate"),
+        ({"j_intermediate2": 2}, "j_intermediate"),
+        ({"j_intermediate2": -1}, "j_intermediate"),
+        ({"j_intermediate2": 5}, "j_intermediate"),
+        ({"class": {"J2": 3, "p": 1}, "j_intermediate2": 1}, "coupling_target"),
+        ({"class": {"J2": 5, "p": 1}}, "coupling_target"),
+        ({"class": {"J2": 5, "p": -1}}, "coupling_target"),
+        ({"class": {"J2": 7, "p": 0}}, "coupling_target"),
+        ({"j_intermediate2": 1.5}, "j_intermediate2"),
+        ({"class": {"J2": 1.5, "p": 0}}, "class"),
+    ], ids=["ji_0", "ji_2", "ji_neg", "ji_5", "five_ji_1", "5/2^+", "5/2^-", "7/2^0",
+            "ji_1.5", "class_J2_1.5"])
+    def test_unbuildable_scheme_invalid_input(self, tmp_path, capsys, extra, field):
+        out = tmp_path / "x.csv"
+        rc = main(["eit", "--scenario", str(self.scenario(tmp_path, **extra)),
+                   "-o", str(out)])
+        assert rc == 3
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_target_override_makes_scheme_buildable(self, tmp_path):
+        # the 5/2^+ default (r2, J' = 7/2) is out of reach of J_i = 3/2; r1 is not
+        out = tmp_path / "x.csv"
+        path = self.scenario(tmp_path, **{"class": {"J2": 5, "p": 1},
+                                          "coupling_target": "r1"})
+        assert main(["eit", "--scenario", str(path), "-o", str(out)]) == 0
+        assert out.exists()
+
+
 class TestInvertCommand:
     def test_half_zero_candidates(self, tmp_path, capsys):
         phi = math.pi / 4
@@ -237,6 +278,7 @@ class TestInvertCommand:
         ([0, 1, 2, 3, 3, 4, 5, 6], [0.0] * 8, "strictly increasing"),
         (list(range(8)), [0, 1, float("nan"), 0, 1, 0, 1, 0], "finite"),
         (list(range(8)), [0, 1, "peak", 0, 1, 0, 1, 0], "must be numbers"),
+        (list(range(8)), [0.0] * 7, "bad.json: detuning and amplitude must be equal-length 1-D"),
     ])
     def test_bad_spectrum_invalid_input(self, tmp_path, capsys, x, y, message):
         bad = tmp_path / "bad.json"
@@ -246,6 +288,29 @@ class TestInvertCommand:
         rc = main(["invert", "--input", str(bad)])
         assert rc == 3
         assert message in capsys.readouterr().err
+
+    def test_non_integral_class_invalid_input(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        write_spectrum(bad, TransitionClass.of(1.5, 1), 0.7)
+        doc = json.loads(bad.read_text())
+        doc["class"] = {"J2": 3.7, "p": 1}
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "report.json"
+        rc = main(["invert", "--input", str(bad), "-o", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "class" in err and "J2 must be an integer" in err
+        assert not out.exists()
+
+    def test_list_config_invalid_input(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        write_spectrum(spec, TransitionClass.of(1.5, 1), 0.7, config=["standard"])
+        assert main(["invert", "--input", str(spec)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: unknown optics configuration ['standard'] (choices: standard, "
+            "rotated_circular)\n")
 
     def test_five_half_pruning(self, tmp_path, capsys):
         phi = 0.8  # standard optics: no central peak expected below pi/2
@@ -390,6 +455,16 @@ class TestRoundtripCommand:
     def test_not_invertible(self):
         rc = main(["roundtrip", "--J2", "3", "--p", "0", "--phi-steps", "3"])
         assert rc == 3
+
+    def test_not_invertible_message_shared_with_invert(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        write_spectrum(spec, TransitionClass.of(1.5, 0), 1.0)
+        assert main(["invert", "--input", str(spec)]) == 3
+        from_invert = capsys.readouterr().err
+        assert main(["roundtrip", "--J2", "3", "--p", "0", "--phi-steps", "3"]) == 3
+        assert capsys.readouterr().err == from_invert == (
+            "error: class 3/2^0 is not invertible; supported classes are 1/2^0 "
+            "and 3/2^+-\n")
 
 
 class TestUsage:

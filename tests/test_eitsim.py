@@ -85,6 +85,27 @@ class TestLevelScheme:
         for j3 in (HalfInt(3), HalfInt(5)):
             LevelScheme(FIVE_HALF, HalfInt(3), "r2", ThirdLevel(j3, 10.0))
 
+    @pytest.mark.parametrize("ji_twice", [-1, 0, 2, 5])
+    def test_intermediate_must_reach_ground(self, ji_twice):
+        with pytest.raises(ValueError, match="j_intermediate must be a dipole partner"):
+            LevelScheme(HALF_ZERO, HalfInt(ji_twice), "r1")
+
+    @pytest.mark.parametrize("cls,ji_twice,target", [
+        (FIVE_HALF, 1, "r2"),
+        (TransitionClass.of(2.5, 1), 3, "r2"),
+        (TransitionClass.of(3.5, 0), 3, "r2"),
+        (TransitionClass.of(3.5, 1), 3, "r1"),
+    ], ids=["3/2^+_ji_1/2", "5/2^+", "7/2^0", "7/2^+_r1"])
+    def test_coupling_target_within_reach(self, cls, ji_twice, target):
+        with pytest.raises(ValueError, match="out of dipole reach"):
+            LevelScheme(cls, HalfInt(ji_twice), target)
+
+    def test_experimental_classes_build(self):
+        for cls in (HALF_ZERO, TransitionClass.of(0.5, 1), TransitionClass.of(1.5, 0), FIVE_HALF):
+            assert scheme_for_class(cls).j_intermediate == HalfInt(3)
+        LevelScheme(FIVE_HALF, HalfInt(1), "r1")
+        LevelScheme(TransitionClass.of(2.5, 1), HalfInt(3), "r1")
+
 
 class TestSimParams:
     def test_negative_rate_rejected(self):
@@ -350,7 +371,7 @@ class TestScenarioParsing:
         assert scheme.coupling_target == "r1"
 
     @pytest.mark.parametrize("extra,target,j_i2,j3_2", [
-        ({"j_intermediate2": 1}, "r2", 1, None),
+        ({"class": {"J2": 3, "p": 0}, "j_intermediate2": 1}, "r2", 1, None),
         ({"third_level": {"delta3_mhz": 100.0}}, "r2", 3, 5),
         ({"coupling_target": "r1", "third_level": {"delta3_mhz": 100.0}}, "r1", 3, 5),
     ], ids=["j_intermediate", "third_default_j3", "target_and_third"])
@@ -359,6 +380,31 @@ class TestScenarioParsing:
         assert scheme.coupling_target == target
         assert scheme.j_intermediate == HalfInt(j_i2)
         assert (scheme.third and scheme.third.j3.twice) == j3_2
+
+    @pytest.mark.parametrize("cfg,field", [
+        ({"class": {"J2": 1.5, "p": 0}}, "class: J2 must be an integer"),
+        ({"class": {"J2": 1, "p": 0.5}}, "class: p must be an integer"),
+        ({"class": {"J2": 1, "p": 0}, "j_intermediate2": 1.5},
+         "j_intermediate2 must be an integer"),
+        ({"class": {"J2": 3, "p": 1}, "third_level": {"J2": 4.5, "delta3_mhz": 100}},
+         "third_level: J2 must be an integer"),
+        ({"class": {"J2": 1, "p": 0}, "phi": {"start": 0, "stop": 1, "steps": 2.5}},
+         "phi: steps must be an integer"),
+        ({"class": {"J2": 1, "p": 0}, "phi": [0.5, "inf"]}, "phi: grid must be"),
+        ({"class": {"J2": 1, "p": 0},
+          "params": {"coupling_detuning_grid": {"start": 0, "stop": 1, "steps": 0}}},
+         "params: grid must be"),
+    ], ids=["J2", "p", "j_intermediate2", "third_J2", "phi_steps", "phi_inf", "detuning_empty"])
+    def test_non_integral_or_bad_grid_rejected(self, cfg, field):
+        with pytest.raises(ValueError, match=field):
+            scenario_from_dict(cfg)
+
+    def test_integral_floats_accepted(self):
+        scheme, _, grid = scenario_from_dict({
+            "class": {"J2": 3.0, "p": 1.0}, "j_intermediate2": 3.0,
+            "phi": {"start": 0, "stop": 1, "steps": 4.0},
+        })
+        assert scheme.cls == FIVE_HALF and len(grid) == 4
 
     @pytest.mark.parametrize("third", [
         {"J2": 5, "delta3_mhz": "inf"},

@@ -18,6 +18,7 @@ from rydpol.inversion import (
     extract_peaks,
     invert_five_half,
     invert_half,
+    invert_peaks,
     peakset_from_eigenvalues,
     phase_from_ratio_approx,
     phase_from_ratio_exact,
@@ -165,7 +166,7 @@ class TestHalfKernel:
         assert list(out.candidates) == pytest.approx(expect, abs=1e-12)
 
     def test_degenerate_candidates_deduplicated(self):
-        out = invert_half(1.0, angle_tol=1e-9)  # phi = 0: {0, pi}
+        out = invert_half(1.0)  # phi = 0: {0, pi}
         assert out.ambiguity_class == "twofold"
 
     def test_out_of_range(self):
@@ -237,6 +238,10 @@ class TestFiveHalfKernel:
         with pytest.raises(ValueError):
             prominence_interval("sideways")
 
+    def test_unhashable_config_rejected(self):
+        with pytest.raises(ValueError, match="unknown optics configuration"):
+            prominence_interval(["standard"])
+
 
 class TestCombine:
     def test_two_configs_give_unique(self):
@@ -282,6 +287,35 @@ class TestRoundTrip:
             round_trip(TransitionClass.of(0.5, 1), 1.0)
         with pytest.raises(NotInvertible):
             round_trip(TransitionClass.of(1.5, 0), 1.0)
+
+    @pytest.mark.parametrize("cls", [
+        TransitionClass.of(0.5, 1), TransitionClass.of(1.5, 0),
+        TransitionClass.of(2.5, 1), TransitionClass.of(1.0, 0),
+    ], ids=lambda c: c.label())
+    def test_not_invertible_at_every_phi(self, cls):
+        for phi in np.linspace(0.0, 2 * math.pi, 13):
+            with pytest.raises(NotInvertible):
+                round_trip(cls, phi)
+
+
+class TestInvertPeaks:
+    def test_half_zero_is_inner_over_outer(self):
+        ps = peakset_from_eigenvalues(HALF_ZERO, eigen_spectrum(HALF_ZERO, 0.6).eigenvalues)
+        out = invert_peaks(HALF_ZERO, ps, 0.0, 0.5, "rotated_circular", 1e-6)
+        assert out == invert_half(ratio_half(ps))
+
+    @pytest.mark.parametrize("config,cp", [("standard", 0.0), ("rotated_circular", 1.0)])
+    def test_five_half_is_outer_over_inner(self, config, cp):
+        cls = TransitionClass.of(1.5, -1)
+        ps = peakset_from_eigenvalues(cls, eigen_spectrum(cls, 0.8).eigenvalues)
+        out = invert_peaks(cls, ps, cp, 0.5, config, 1e-6)
+        assert out == invert_five_half(ratio_five_half(ps), cp, 0.5, config=config)
+        assert out.contains(0.8, 1e-9)
+
+    def test_not_invertible_before_ratio_errors(self):
+        degenerate = PeakSet((), (), 0.0, 0.0, 0.0, 0.0)
+        with pytest.raises(NotInvertible, match="class 3/2\\^0 is not invertible"):
+            invert_peaks(TransitionClass.of(1.5, 0), degenerate, 0.0, 0.5, "standard", 1e-6)
 
 
 class TestPeaksetFromEigenvalues:

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -11,8 +10,6 @@ from rydpol.sop import (
     frame_for_axis,
     rotated_circular_optics,
     sop_from_phi,
-    sop_from_json,
-    sop_to_json,
     spherical_components,
     standard_optics,
     stokes_from_phi,
@@ -77,21 +74,6 @@ class TestStokes:
         assert abs(ey) == pytest.approx(0.0, abs=1e-15)
 
 
-class TestJson:
-    def test_phi_round_trip(self):
-        s = sop_from_phi(1.25)
-        s2 = sop_from_json(sop_to_json(s))
-        assert s2.phi == pytest.approx(1.25)
-
-    def test_amplitude_round_trip(self):
-        s = RfSop.from_amplitudes(1.0, 1.0j)
-        doc = json.loads(sop_to_json(s))
-        assert "amp_plus" in doc
-        s2 = sop_from_json(sop_to_json(s))
-        assert s2.amp_minus == pytest.approx(s.amp_minus)
-        assert s2.phi is None
-
-
 class TestFrames:
     def test_orthonormal_right_handed(self):
         for axis in [(0, 0, 1), (0, 1, -1), (1, 2, 3), (-1, 0, 0)]:
@@ -104,11 +86,11 @@ class TestFrames:
             frame_for_axis((0, 0, 0))
 
     def test_spherical_components_unit(self):
-        c = spherical_components((1, 0, 0), (0, 0, 1))
+        c = spherical_components((1, 0, 0))
         assert sum(abs(v) ** 2 for v in c) == pytest.approx(1.0)
 
     def test_linear_x_has_no_pi_component(self):
-        c_minus, c_zero, c_plus = spherical_components((1, 0, 0), (0, 0, 1))
+        c_minus, c_zero, c_plus = spherical_components((1, 0, 0))
         assert c_zero == pytest.approx(0.0, abs=1e-15)
         assert abs(c_plus) == pytest.approx(abs(c_minus))
 

@@ -49,6 +49,7 @@ from .inversion import (
     InversionError,
     NotInvertible,
     combine_candidates,
+    config_free,
     extract_peaks,
     invert_peaks,
     prominence_interval,
@@ -94,6 +95,11 @@ def _phi_grid(args) -> np.ndarray:
     start, stop = args.phi_start, args.phi_stop
     if args.degrees:
         start, stop = math.radians(start), math.radians(stop)
+    for flag, value in (("--phi-start", start), ("--phi-stop", stop)):
+        if not math.isfinite(value):
+            raise CliError("%s must be finite" % flag)
+    if not math.isfinite(stop - start):
+        raise CliError("--phi-start to --phi-stop must be a finite span")
     return np.linspace(start, stop, args.phi_steps)
 
 
@@ -137,6 +143,9 @@ def _emit_angle(value: float, degrees: bool) -> float:
 
 def cmd_spectrogram(args) -> int:
     cls = _transition_class(args)
+    if args.envelopes and (cls.J.twice, abs(cls.p)) != (3, 1):
+        raise CliError("--envelopes are the 3/2^+- envelopes; class %s has none"
+                       % cls.label())
     phi_grid = _phi_grid(args)
     spectra = spectrogram(cls, phi_grid)
     if args.format == "json":
@@ -217,6 +226,7 @@ def _load_spectrum(path: str, config):
         cls = class_from_spec(doc["class"])
     except (KeyError, ValueError, TypeError) as exc:
         raise CliError("%s: bad class spec: %s" % (path, exc))
+    config_free(cls)  # NotInvertible before any peak error
     try:
         x = np.asarray(doc["detuning_mhz"], dtype=float)
         y = np.asarray(doc["amplitude"], dtype=float)

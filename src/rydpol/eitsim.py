@@ -126,16 +126,22 @@ class SimParams:
     optics: OpticalConfig = field(default_factory=standard_optics)
 
     def __post_init__(self):
-        for name in ("omega_probe", "omega_coupling", "omega_rf", "gamma_i", "gamma_r"):
+        for name in ("omega_probe", "omega_coupling", "omega_rf"):
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0:
                 raise ValueError("%s must be finite and non-negative" % name)
+        # a zero decay rate leaves states that never relax to the ground,
+        # so the steady state is not unique
+        for name in ("gamma_i", "gamma_r"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError("%s must be finite and positive" % name)
         if not math.isfinite(self.delta_probe):
             raise ValueError("delta_probe must be finite")
         grid = np.asarray(self.coupling_detuning_grid, dtype=float)
         if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
             raise ValueError("coupling_detuning_grid must be a non-empty list of finite values")
-        if self.gamma_i > 0 and self.omega_probe > self.gamma_i:
+        if self.omega_probe > self.gamma_i:
             warnings.warn(
                 "omega_probe exceeds gamma_i; weak-probe response is nonlinear",
                 stacklevel=2,
@@ -221,22 +227,20 @@ def collapse_operators(scheme: LevelScheme, params: SimParams) -> list:
     ni = ji.twice + 1
     ng = jg.twice + 1
     ops = []
-    if params.gamma_i > 0:
-        # branching weights: sum over m_g and q of the squared 3-j for a
-        # fixed i substate is 1/(2 J_i + 1), so this scale gives each i
-        # state total decay rate gamma_i
-        scale = math.sqrt(params.gamma_i * (ji.twice + 1))
-        for comp in np.eye(3):  # one channel per q = -1, 0, +1
-            Bq = dipole_block(ji, jg, comp)  # i rows x g cols
-            C = np.zeros((n, n), dtype=complex)
-            C[off["g"] : off["g"] + ng, off["i"] : off["i"] + ni] = scale * Bq.conj().T
+    # branching weights: sum over m_g and q of the squared 3-j for a
+    # fixed i substate is 1/(2 J_i + 1), so this scale gives each i
+    # state total decay rate gamma_i
+    scale = math.sqrt(params.gamma_i * (ji.twice + 1))
+    for comp in np.eye(3):  # one channel per q = -1, 0, +1
+        Bq = dipole_block(ji, jg, comp)  # i rows x g cols
+        C = np.zeros((n, n), dtype=complex)
+        C[off["g"] : off["g"] + ng, off["i"] : off["i"] + ni] = scale * Bq.conj().T
+        ops.append(C)
+    for k in range(off["r1"], n):
+        for gk in range(ng):
+            C = np.zeros((n, n))
+            C[off["g"] + gk, k] = math.sqrt(params.gamma_r / ng)
             ops.append(C)
-    if params.gamma_r > 0:
-        for k in range(off["r1"], n):
-            for gk in range(ng):
-                C = np.zeros((n, n))
-                C[off["g"] + gk, k] = math.sqrt(params.gamma_r / ng)
-                ops.append(C)
     return ops
 
 
@@ -245,10 +249,13 @@ def liouvillian(H: np.ndarray, collapse: list) -> np.ndarray:
     n = H.shape[0]
     eye = np.eye(n)
     L = -1j * (np.kron(H, eye) - np.kron(eye, H.T))
+    # the anticommutator term is linear in C^dagger C: sum it over the
+    # channels first, so its two N x N Kronecker products are built once
+    CdC = np.zeros((n, n), dtype=complex)
     for C in collapse:
-        CdC = C.conj().T @ C
         L += np.kron(C, C.conj())
-        L -= 0.5 * (np.kron(CdC, eye) + np.kron(eye, CdC.T))
+        CdC += C.conj().T @ C
+    L -= 0.5 * (np.kron(CdC, eye) + np.kron(eye, CdC.T))
     return L
 
 
@@ -319,7 +326,15 @@ class EitSpectrogram:
 
 
 def eit_spectrum(scheme: LevelScheme, params: SimParams, sop: RfSop | float) -> EitSpectrum:
-    """Probe transparency vs coupling detuning for one SOP.
+    """Probe transparency vs coupling detuning for one SOP: the dark
+    baseline (probe absorption with the coupling laser off) minus the
+    probe absorption, clipped at zero.
+
+    With the coupling laser off nothing drives the Rydberg states, so the
+    dark steady state is zero outside the g and i states.  The baseline is
+    therefore the steady state of the g-i block of the Hamiltonian, which
+    holds no Omega_c term, and of the collapse operators: it depends on
+    neither the RF SOP, the transition class nor a third level.
 
     The coupling detuning enters the Hamiltonian only on the Rydberg
     diagonal, so the Liouvillian is assembled once at Delta_c = 0 and each
@@ -330,15 +345,16 @@ def eit_spectrum(scheme: LevelScheme, params: SimParams, sop: RfSop | float) -> 
         sop = sop_from_phi(float(sop))
     grid = np.asarray(params.coupling_detuning_grid, dtype=float)
     collapse = collapse_operators(scheme, params)
-    dark = replace(params, omega_coupling=0.0)
+    H = build_hamiltonian(scheme, params, sop, 0.0)
+    m = scheme.offsets()["r1"]
     baseline = probe_absorption(
-        scheme, dark, steady_state(build_hamiltonian(scheme, dark, sop, 0.0), collapse)
+        scheme, params, steady_state(H[:m, :m], [C[:m, :m] for C in collapse])
     )
 
     n = scheme.n_states
-    L0 = liouvillian(build_hamiltonian(scheme, params, sop, 0.0), collapse)
+    L0 = liouvillian(H, collapse)
     ryd = np.zeros(n)
-    ryd[scheme.offsets()["r1"] :] = 1.0
+    ryd[m:] = 1.0
     # dH/dDelta_c = -diag(ryd); its commutator contribution is diagonal in
     # the vectorized basis
     dshift = 1j * (np.repeat(ryd, n) - np.tile(ryd, n))

@@ -328,7 +328,7 @@ def invert_five_half(
     )
 
 
-def _config_free(cls: TransitionClass) -> bool:
+def config_free(cls: TransitionClass) -> bool:
     """True for (1/2, 0), False for (3/2, +-), NotInvertible otherwise."""
     if cls.J.twice == 1 and cls.p == 0:
         return True
@@ -343,7 +343,7 @@ def invert_peaks(cls: TransitionClass, peaks: PeakSet, central_prominence: float
     """Candidate phases of a class's peaks, the one map from a class to its
     ratio and kernel: inner/outer into invert_half for (1/2, 0), which needs
     no other argument; outer/inner into invert_five_half for (3/2, +-)."""
-    if _config_free(cls):
+    if config_free(cls):
         return invert_half(ratio_half(peaks))
     return invert_five_half(ratio_five_half(peaks), central_prominence,
                             central_threshold, config=config, tol=tol)
@@ -413,9 +413,9 @@ def round_trip(
     shapes live in the eitsim demos/tests.)
     """
     phi_true = phi_true % _TWO_PI
-    config_free = _config_free(cls)  # NotInvertible before any peak error
+    free = config_free(cls)  # NotInvertible before any peak error
     peaks = peakset_from_eigenvalues(cls, eigen_spectrum(cls, phi_true).eigenvalues)
-    if config_free:
+    if free:
         per_config = {"any": invert_peaks(cls, peaks, 0.0, 0.5, "standard", 1e-6)}
     else:
         per_config = {}

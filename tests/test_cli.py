@@ -55,6 +55,17 @@ class TestSpectrogramCommand:
         assert len(doc["eigenvalues"][0]) == 10
         assert doc["envelopes"]["kind"] == "exact"
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_envelopes_of_other_class_invalid_input(self, tmp_path, capsys, fmt):
+        out = tmp_path / ("spg." + fmt)
+        rc = main([
+            "spectrogram", "--J2", "1", "--p", "0", "--phi-steps", "5",
+            "--envelopes", "exact", "--format", fmt, "-o", str(out),
+        ])
+        assert rc == 3
+        assert "1/2^0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["spectrogram", "--J2", "1", "--p", "0", "--phi-steps", "7"]
@@ -68,6 +79,25 @@ class TestSpectrogramCommand:
             "-o", str(tmp_path / "x.csv"),
         ])
         assert rc == 3
+
+    @pytest.mark.parametrize("command", [
+        ["spectrogram", "--J2", "1", "--p", "0"],
+        ["envelopes"],
+        ["roundtrip", "--J2", "1", "--p", "0"],
+    ], ids=["spectrogram", "envelopes", "roundtrip"])
+    @pytest.mark.parametrize("message,bound", [
+        ("--phi-start must be finite", ["--phi-start", "nan"]),
+        ("--phi-stop must be finite", ["--phi-stop", "inf"]),
+        ("--phi-start must be finite", ["--phi-start=-inf", "--degrees"]),
+        ("must be a finite span", ["--phi-start=-1e308", "--phi-stop", "1e308"]),
+    ], ids=["start_nan", "stop_inf", "start_-inf_degrees", "span_overflow"])
+    def test_non_finite_phi_bound_invalid_input(self, tmp_path, capsys, command, message,
+                                                bound):
+        out = tmp_path / "x.csv"
+        rc = main(command + bound + ["--phi-steps", "3", "-o", str(out)])
+        assert rc == 3
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_phi_steps(self, tmp_path):
         rc = main([
@@ -181,6 +211,8 @@ class TestEitCommand:
     @pytest.mark.parametrize("params", [
         {"omega_rf": "nan"},
         {"coupling_detuning_grid": []},
+        {"gamma_r": 0},
+        {"gamma_i": 0},
     ])
     def test_bad_params_invalid_input(self, tmp_path, capsys, params):
         out = tmp_path / "x.csv"
@@ -334,6 +366,18 @@ class TestInvertCommand:
         write_spectrum(spec, TransitionClass.of(1.5, 0), 1.0)
         rc = main(["invert", "--input", str(spec)])
         assert rc == 3
+
+    def test_not_invertible_class_before_peaks(self, tmp_path, capsys):
+        # a flat spectrum would fail peak extraction (exit 4); the class is
+        # checked first
+        flat = tmp_path / "flat.json"
+        flat.write_text(json.dumps({
+            "detuning_mhz": list(np.linspace(-10, 10, 64)),
+            "amplitude": [1.0] * 64,
+            "class": {"J2": 3, "p": 0},
+        }))
+        assert main(["invert", "--input", str(flat)]) == 3
+        assert "class 3/2^0 is not invertible" in capsys.readouterr().err
 
     def test_missing_keys(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -123,6 +123,12 @@ class TestSimParams:
         with pytest.raises(ValueError):
             SimParams(**over)
 
+    @pytest.mark.parametrize("name", ["gamma_i", "gamma_r"])
+    def test_zero_decay_rate_rejected(self, name):
+        # a state that never decays leaves the steady state not unique
+        with pytest.raises(ValueError, match="%s must be finite and positive" % name):
+            SimParams(**{name: 0.0})
+
     def test_strong_probe_warns(self):
         with pytest.warns(UserWarning):
             SimParams(omega_probe=10.0, gamma_i=6.0)
@@ -191,10 +197,6 @@ class TestCollapse:
         diag = np.diag(total).real
         assert np.allclose(diag[off["r1"]:], p.gamma_r, atol=1e-14)
 
-    def test_no_channels_when_rates_zero(self):
-        s = scheme_for_class(HALF_ZERO)
-        assert collapse_operators(s, small_params(gamma_i=0.0, gamma_r=0.0)) == []
-
 
 class TestSteadyState:
     def test_density_matrix_properties(self):
@@ -224,6 +226,25 @@ class TestSteadyState:
         rho = steady_state(H, ops)
         assert np.linalg.norm(L @ rho.reshape(-1)) < 1e-10
 
+    @pytest.mark.parametrize("cls,third", [(HALF_ZERO, None), (FIVE_HALF, 100.0)],
+                             ids=["1/2^0", "3/2^+_r3"])
+    def test_liouvillian_matches_matrix_form(self, cls, third):
+        # off the steady state as well: L vec(X) against the matrix-form
+        # Lindblad right-hand side of lindblad_residual, X not Hermitian
+        s = scheme_for_class(cls, third_delta3_mhz=third)
+        p = small_params()
+        H = build_hamiltonian(s, p, 1.3, -2.0)
+        ops = collapse_operators(s, p)
+        n = s.n_states
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        ref = -1j * (H @ X - X @ H)
+        for C in ops:
+            CdC = C.conj().T @ C
+            ref += C @ X @ C.conj().T - 0.5 * (CdC @ X + X @ CdC)
+        got = (liouvillian(H, ops) @ X.reshape(-1)).reshape(n, n)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
 
 class TestSpectrum:
     def test_peaks_at_dressed_eigenvalues(self):
@@ -251,10 +272,13 @@ class TestSpectrum:
         (HALF_ZERO, standard_optics, None),
         (FIVE_HALF, tilted_linear_optics, None),
         (FIVE_HALF, tilted_linear_optics, 100.0),
-    ], ids=["1/2^0", "3/2^+", "3/2^+_r3"])
+        (TransitionClass.of(1.5, -1), rotated_circular_optics, None),
+        (TransitionClass.of(0.5, 1), standard_optics, 50.0),
+    ], ids=["1/2^0", "3/2^+", "3/2^+_r3", "3/2^-_rotated", "1/2^+_r3"])
     def test_matches_dense_reference(self, cls, optics, third):
         # the shifted-Liouvillian sweep against a fresh Hamiltonian and a
-        # full steady_state solve at each detuning
+        # full steady_state solve at each detuning, and the g-i block
+        # baseline against the dark steady state of the full system
         s = scheme_for_class(cls, third_delta3_mhz=third)
         p = small_params(coupling_detuning_grid=tuple(np.linspace(-50, 50, 41)),
                          optics=optics())

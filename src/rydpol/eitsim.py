@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import schur
 
 from .angular import HalfInt, integral
 from .dressing import TransitionClass, class_from_spec, dipole_block, oracle_scale, rf_block
@@ -259,27 +260,30 @@ def liouvillian(H: np.ndarray, collapse: list) -> np.ndarray:
     return L
 
 
-def _solve_trace_row(L: np.ndarray, n: int) -> np.ndarray:
-    """Solve L vec(rho) = 0 with row 0 replaced by the trace constraint
-    (overwriting L); rho is returned Hermitized."""
+def _impose_trace(L: np.ndarray, n: int) -> np.ndarray:
+    """Replace row 0 of L (the redundant rho_00 equation) with the trace
+    constraint, in place; returns the right-hand side e_0."""
     L[0, :] = 0.0
     L[0, :: n + 1] = 1.0
     b = np.zeros(n * n, dtype=complex)
     b[0] = 1.0
-    rho = np.linalg.solve(L, b).reshape(n, n)
-    return 0.5 * (rho + rho.conj().T)
+    return b
 
 
 def steady_state(H: np.ndarray, collapse: list, check_unique: bool = False) -> np.ndarray:
     """Stationary density matrix of the Lindblad generator: the dense
-    reference solve, one Liouvillian and one linear system per call."""
+    reference solve, one Liouvillian and one linear system per call;
+    rho is returned Hermitized."""
+    n = H.shape[0]
     L = liouvillian(H, collapse)
     if check_unique:
         sv = np.linalg.svd(L, compute_uv=False)
         scale = sv[0] if sv[0] > 0 else 1.0
         if np.sum(sv / scale < 1e-8) > 1:
             raise NonUniqueSteadyState("Lindblad nullspace dimension exceeds 1")
-    return _solve_trace_row(L, H.shape[0])
+    b = _impose_trace(L, n)
+    rho = np.linalg.solve(L, b).reshape(n, n)
+    return 0.5 * (rho + rho.conj().T)
 
 
 def lindblad_residual(H: np.ndarray, collapse: list, rho: np.ndarray) -> float:
@@ -302,13 +306,17 @@ def _probe_weights(j_intermediate: HalfInt, j_ground: HalfInt,
     return W
 
 
-def probe_absorption(scheme: LevelScheme, params: SimParams, rho: np.ndarray) -> float:
+def probe_absorption(scheme: LevelScheme, params: SimParams,
+                     rho: np.ndarray) -> float | np.ndarray:
     """Probe attenuation observable: imaginary part of the ground to
-    intermediate coherences projected on the probe coupling pattern."""
+    intermediate coherences projected on the probe coupling pattern.
+    rho is one density matrix (a float is returned) or a stack of shape
+    (..., n, n) (an array of shape (...) is returned)."""
     off = scheme.offsets()
     W = _probe_weights(scheme.j_intermediate, scheme.j_ground, params.optics)
-    coh = rho[off["i"] : off["i"] + W.shape[0], off["g"] : off["g"] + W.shape[1]]
-    return float(-np.imag(np.sum(W.conj() * coh)))
+    coh = rho[..., off["i"] : off["i"] + W.shape[0], off["g"] : off["g"] + W.shape[1]]
+    absorption = -np.imag(np.einsum("ij,...ij->...", W.conj(), coh))
+    return float(absorption) if absorption.ndim == 0 else absorption
 
 
 @dataclass(frozen=True)
@@ -325,6 +333,55 @@ class EitSpectrogram:
     response: np.ndarray  # shape (len(phi_grid), len(detuning_mhz))
 
 
+def _shift_schur(L: np.ndarray, m: int) -> tuple:
+    """Reduce the trace-row steady-state system A(Delta_c) x = e_0, with
+    A(Delta_c) = L + Delta_c diag(d), to one Schur form (overwrites L).
+
+    H(Delta_c) = H(0) - Delta_c on the Rydberg diagonal (states m and up),
+    so d is +-i on the coherences between a Rydberg and a non-Rydberg
+    state (the set P) and zero everywhere else (the set Q, which holds the
+    trace row and the probe coherences).  Eliminating Q leaves
+        x_Q = x0 - G x_P,    (M + Delta_c) x_P = g,
+    with the Schur complement S = A_PP - A_PQ G and M = diag(d_P)^-1 S.
+    M = Z T Z^H is its complex Schur form; the poles of the spectrum sit
+    at Delta_c = -diag(T).  Returns (p, q, x0, G, Z, T, Z^H g).
+    """
+    n = math.isqrt(L.shape[0])
+    ryd = np.zeros(n)
+    ryd[m:] = 1.0
+    d = 1j * (np.repeat(ryd, n) - np.tile(ryd, n))
+    p, q = np.flatnonzero(d), np.flatnonzero(d == 0)
+    b = _impose_trace(L, n)
+    A_PQ = L[np.ix_(p, q)]
+    sol = np.linalg.solve(L[np.ix_(q, q)], np.column_stack((b[q], L[np.ix_(q, p)])))
+    x0, G = sol[:, 0], sol[:, 1:]
+    M = (L[np.ix_(p, p)] - A_PQ @ G) / d[p, None]
+    T, Z = schur(M, output="complex")
+    h = Z.conj().T @ (-(A_PQ @ x0) / d[p])
+    return p, q, x0, G, Z, T, h
+
+
+def _steady_states(reduction: tuple, grid: np.ndarray) -> np.ndarray:
+    """Hermitized steady states at every Delta_c of the grid from the
+    _shift_schur reduction, shape (grid.size, n, n)."""
+    p, q, x0, G, Z, T, h = reduction
+    # (T + Delta_c) y = h for every grid point at once, last row first;
+    # Y holds one row per pole so that each row update reads contiguous rows
+    Y = np.empty((p.size, grid.size), dtype=complex)
+    for k in range(p.size - 1, -1, -1):
+        Y[k] = (h[k] - T[k, k + 1 :] @ Y[k + 1 :]) / (grid + T[k, k])
+    X = np.empty((p.size + q.size, grid.size), dtype=complex)
+    X[p] = Z @ Y
+    X[q] = x0[:, None] - G @ X[p]
+    n = math.isqrt(X.shape[0])
+    # Hermitize in place and hand out a view: the stack is the largest
+    # array of the sweep
+    rho = X.reshape(n, n, grid.size)
+    rho += rho.conj().transpose(1, 0, 2)
+    rho *= 0.5
+    return rho.transpose(2, 0, 1)
+
+
 def eit_spectrum(scheme: LevelScheme, params: SimParams, sop: RfSop | float) -> EitSpectrum:
     """Probe transparency vs coupling detuning for one SOP: the dark
     baseline (probe absorption with the coupling laser off) minus the
@@ -336,10 +393,14 @@ def eit_spectrum(scheme: LevelScheme, params: SimParams, sop: RfSop | float) -> 
     holds no Omega_c term, and of the collapse operators: it depends on
     neither the RF SOP, the transition class nor a third level.
 
-    The coupling detuning enters the Hamiltonian only on the Rydberg
-    diagonal, so the Liouvillian is assembled once at Delta_c = 0 and each
-    grid point just adds a diagonal shift to a copy of it before the same
-    trace-row solve that steady_state uses.
+    The coupling detuning enters the Liouvillian only as a diagonal shift,
+    so one Schur form per SOP, of the Liouvillian at Delta_c = 0 reduced
+    to the shifted coherences, gives the steady state on the whole grid:
+    one triangular back-substitution whose rows each act on every grid
+    point at once (_shift_schur, _steady_states).  No linear system is
+    solved per detuning.  The stack of density matrices is read out by
+    probe_absorption.  steady_state stays the dense reference that this
+    is tested against.
     """
     if not isinstance(sop, RfSop):
         sop = sop_from_phi(float(sop))
@@ -351,24 +412,8 @@ def eit_spectrum(scheme: LevelScheme, params: SimParams, sop: RfSop | float) -> 
         scheme, params, steady_state(H[:m, :m], [C[:m, :m] for C in collapse])
     )
 
-    n = scheme.n_states
-    L0 = liouvillian(H, collapse)
-    ryd = np.zeros(n)
-    ryd[m:] = 1.0
-    # dH/dDelta_c = -diag(ryd); its commutator contribution is diagonal in
-    # the vectorized basis
-    dshift = 1j * (np.repeat(ryd, n) - np.tile(ryd, n))
-    diag = np.arange(n * n)
-
-    absorption = np.empty(grid.size)
-    # one work buffer for the whole sweep: a fresh copy per point is handed
-    # back to the OS by the allocator and page-faulted in again at each solve
-    A = np.empty_like(L0)
-    for k, dc in enumerate(grid):
-        np.copyto(A, L0)
-        A[diag, diag] += dc * dshift
-        absorption[k] = probe_absorption(scheme, params, _solve_trace_row(A, n))
-    response = np.clip(baseline - absorption, 0.0, None)
+    rho = _steady_states(_shift_schur(liouvillian(H, collapse), m), grid)
+    response = np.clip(baseline - probe_absorption(scheme, params, rho), 0.0, None)
     return EitSpectrum(sop.phi, grid, response)
 
 

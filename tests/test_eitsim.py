@@ -3,9 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import schur
 
 from rydpol.angular import HalfInt
-from rydpol.dressing import TransitionClass, eigen_spectrum
+from rydpol.dressing import EXPERIMENTAL_CLASSES, TransitionClass, eigen_spectrum
 from rydpol.eitsim import (
     LevelScheme,
     SimParams,
@@ -22,6 +25,7 @@ from rydpol.eitsim import (
     steady_state,
     third_level_sweep,
 )
+from rydpol.eitsim import _shift_schur, _steady_states
 from rydpol.sop import (
     rotated_circular_optics,
     sop_from_phi,
@@ -30,6 +34,7 @@ from rydpol.sop import (
 )
 
 HALF_ZERO = TransitionClass.of(0.5, 0)
+HALF_PLUS = TransitionClass.of(0.5, 1)
 FIVE_HALF = TransitionClass.of(1.5, 1)
 
 
@@ -268,21 +273,29 @@ class TestSpectrum:
         spec = eit_spectrum(s, small_params(), 0.3)
         assert np.all(spec.response >= 0.0)
 
-    @pytest.mark.parametrize("cls,optics,third", [
-        (HALF_ZERO, standard_optics, None),
-        (FIVE_HALF, tilted_linear_optics, None),
-        (FIVE_HALF, tilted_linear_optics, 100.0),
-        (TransitionClass.of(1.5, -1), rotated_circular_optics, None),
-        (TransitionClass.of(0.5, 1), standard_optics, 50.0),
-    ], ids=["1/2^0", "3/2^+", "3/2^+_r3", "3/2^-_rotated", "1/2^+_r3"])
-    def test_matches_dense_reference(self, cls, optics, third):
-        # the shifted-Liouvillian sweep against a fresh Hamiltonian and a
-        # full steady_state solve at each detuning, and the g-i block
-        # baseline against the dark steady state of the full system
+    @pytest.mark.parametrize("cls,optics,third,phi,over", [
+        (HALF_ZERO, standard_optics, None, 0.9, {}),
+        (FIVE_HALF, tilted_linear_optics, None, 0.9, {}),
+        (FIVE_HALF, tilted_linear_optics, 100.0, 0.9, {}),
+        (TransitionClass.of(1.5, -1), rotated_circular_optics, None, 0.9, {}),
+        (TransitionClass.of(0.5, 1), standard_optics, 50.0, 0.9, {}),
+        # criterion 10's farthest third level
+        (TransitionClass.of(1.5, 0), standard_optics, 1e6, 0.9,
+         {"omega_rf": 15.0, "gamma_r": 0.5}),
+        (FIVE_HALF, tilted_linear_optics, None, 0.9, {"omega_rf": 0.0}),
+        (FIVE_HALF, tilted_linear_optics, 100.0, 0.0, {}),
+        (FIVE_HALF, tilted_linear_optics, 100.0, math.pi / 2, {}),
+        (FIVE_HALF, standard_optics, None, 0.9, {"coupling_detuning_grid": tuple(np.concatenate(
+            ([-1e5, -1e4, -1e3], np.linspace(-50, 50, 35), [1e3, 1e4, 1e5])))}),
+    ], ids=["1/2^0", "3/2^+", "3/2^+_r3", "3/2^-_rotated", "1/2^+_r3", "3/2^0_r3_1e6",
+            "omega_rf_0", "phi_0", "phi_pi/2", "grid_1e5"])
+    def test_matches_dense_reference(self, cls, optics, third, phi, over):
+        # the Schur-form sweep against a fresh Hamiltonian and a full
+        # steady_state solve at each detuning, and the g-i block baseline
+        # against the dark steady state of the full system
         s = scheme_for_class(cls, third_delta3_mhz=third)
-        p = small_params(coupling_detuning_grid=tuple(np.linspace(-50, 50, 41)),
-                         optics=optics())
-        phi = 0.9
+        p = small_params(**{"coupling_detuning_grid": tuple(np.linspace(-50, 50, 41)),
+                            "optics": optics(), **over})
         spec = eit_spectrum(s, p, phi)
         collapse = collapse_operators(s, p)
         dark = replace(p, omega_coupling=0.0)
@@ -317,6 +330,78 @@ class TestSpectrum:
         H = build_hamiltonian(s, p, 0.0, 0.0)
         rho = steady_state(H, collapse_operators(s, p))
         assert probe_absorption(s, p, rho) > 0
+
+
+def _weak_drive_schur(cls, phi, omega_rf):
+    """Z, T, Z^H g of the Schur-form sweep in the weak-drive limit."""
+    s = scheme_for_class(cls)
+    p = small_params(omega_probe=0.05, omega_coupling=0.05, omega_rf=omega_rf)
+    L = liouvillian(build_hamiltonian(s, p, phi, 0.0), collapse_operators(s, p))
+    _, _, _, _, Z, T, h = _shift_schur(L, s.offsets()["r1"])
+    return Z, T, h
+
+
+def _central_source_share(Z, T, h):
+    """Number of poles with |Re| < 1 MHz, and the share of the source
+    g = Z h that reaches their invariant subspace."""
+    # reorder the Schur form so that the central poles come last
+    _, Zs, k = schur(Z @ T @ Z.conj().T, output="complex", sort=lambda z: abs(z.real) >= 1.0)
+    return T.shape[0] - k, np.linalg.norm((Zs.conj().T @ (Z @ h))[k:]) / np.linalg.norm(h)
+
+
+class TestSchurSweep:
+    @settings(max_examples=30, deadline=None)
+    @given(cls=st.sampled_from(EXPERIMENTAL_CLASSES), phi=st.floats(0.0, 2 * math.pi),
+           omega_rf=st.floats(5.0, 50.0))
+    def test_poles_locked_to_dressed_eigenvalues(self, cls, phi, omega_rf):
+        # the paper's calibration-free claim at the pole level: in the weak
+        # drive limit every pole sits at omega_rf times a dressed eigenvalue
+        # and every dressed eigenvalue has a pole; P holds rho_rx and
+        # rho_xr, so the poles come in pairs on both sides of the real axis
+        Z, T, h = _weak_drive_schur(cls, phi, omega_rf)
+        lam = np.diag(T)
+        lines = omega_rf * eigen_spectrum(cls, phi).eigenvalues
+        dist = np.abs(-lam.real[:, None] - lines[None, :])
+        assert dist.min(axis=1).max() < 1e-3
+        assert dist.min(axis=0).max() < 1e-3
+        # no pole reaches the real Delta_c axis: |Im| >= gamma_r / 2, and
+        # small_params has gamma_r = 0.1
+        assert np.abs(lam.imag).min() >= 0.9 * 0.1 / 2
+        if cls == HALF_PLUS:
+            # criterion 08's Laporte absence: 1/2^+ does have central poles,
+            # the coherences of its two zero-eigenvalue dressed states, but
+            # these lie in r2 and the coupling laser drives r1, so nothing
+            # reaches them and they never show in the spectrum
+            count, share = _central_source_share(Z, T, h)
+            assert count > 0 and share < 1e-12
+
+    def test_central_poles_driven_where_the_line_exists(self):
+        # the contrast that makes the 1/2^+ check above live: 3/2^+ shows a
+        # central line at pi/2 (criterion 09), so its central poles are driven
+        count, share = _central_source_share(*_weak_drive_schur(FIVE_HALF, math.pi / 2, 40.0))
+        assert count > 0 and share > 0.1
+
+    @settings(max_examples=20, deadline=None)
+    @given(cls=st.sampled_from(EXPERIMENTAL_CLASSES), phi=st.floats(0.0, 2 * math.pi),
+           third=st.sampled_from([None, 40.0, 250.0]),
+           optics=st.sampled_from([standard_optics, rotated_circular_optics, tilted_linear_optics]),
+           omega_rf=st.floats(5.0, 50.0), gamma_r=st.floats(0.05, 1.0),
+           detunings=st.lists(st.floats(-80.0, 80.0), min_size=1, max_size=4))
+    def test_density_matrix_properties(self, cls, phi, third, optics, omega_rf, gamma_r,
+                                       detunings):
+        # criterion 11's checks on the sweep's density matrices at random
+        # grid points, not only on single steady_state solves
+        s = scheme_for_class(cls, third_delta3_mhz=third)
+        p = small_params(omega_rf=omega_rf, gamma_r=gamma_r, optics=optics())
+        ops = collapse_operators(s, p)
+        L = liouvillian(build_hamiltonian(s, p, phi, 0.0), ops)
+        scale = np.linalg.norm(L)
+        grid = np.asarray(detunings)
+        for dc, rho in zip(grid, _steady_states(_shift_schur(L, s.offsets()["r1"]), grid)):
+            assert abs(np.trace(rho) - 1.0) < 1e-12
+            assert np.array_equal(rho, rho.conj().T)
+            assert np.linalg.eigvalsh(rho).min() >= -1e-12
+            assert lindblad_residual(build_hamiltonian(s, p, phi, dc), ops, rho) < 1e-12 * scale
 
 
 class TestThirdLevel:

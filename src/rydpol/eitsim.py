@@ -30,14 +30,6 @@ from .dressing import TransitionClass, class_from_spec, dipole_block, oracle_sca
 from .sop import OpticalConfig, OPTICS_PRESETS, RfSop, sop_from_phi, standard_optics
 
 
-class SteadyStateError(Exception):
-    pass
-
-
-class NonUniqueSteadyState(SteadyStateError):
-    pass
-
-
 @dataclass(frozen=True)
 class ThirdLevel:
     """Extra Rydberg manifold reached off-resonantly (detuning delta3 > 0)."""
@@ -127,13 +119,14 @@ class SimParams:
     optics: OpticalConfig = field(default_factory=standard_optics)
 
     def __post_init__(self):
-        for name in ("omega_probe", "omega_coupling", "omega_rf"):
+        for name in ("omega_coupling", "omega_rf"):
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0:
                 raise ValueError("%s must be finite and non-negative" % name)
         # a zero decay rate leaves states that never relax to the ground,
-        # so the steady state is not unique
-        for name in ("gamma_i", "gamma_r"):
+        # and without a probe nothing pumps the ground doublet: either way
+        # the steady state is not unique
+        for name in ("omega_probe", "gamma_i", "gamma_r"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError("%s must be finite and positive" % name)
@@ -212,14 +205,17 @@ def build_hamiltonian(
     return H
 
 
-def collapse_operators(scheme: LevelScheme, params: SimParams) -> list:
-    """Decay channels back to the ground doublet.
+def collapse_operators(scheme: LevelScheme, params: SimParams) -> np.ndarray:
+    """Decay channels back to the ground doublet, stacked as one complex
+    array of shape (channels, n, n).
 
     The intermediate manifold decays at total rate gamma_i with angular
     branching per photon polarization q (three separate Lindblad channels,
     so spontaneously emitted photons do not create ground coherences that
-    a real vapor would not have).  Every Rydberg state decays at gamma_r,
-    split evenly over the two ground substates.
+    a real vapor would not have): channels 0-2 are q = -1, 0, +1.  Every
+    Rydberg state decays at gamma_r, split evenly over the two ground
+    substates: channel 3 + k * n_g + m takes Rydberg state k (counted from
+    r1) to ground substate m.
     """
     n = scheme.n_states
     off = scheme.offsets()
@@ -227,37 +223,37 @@ def collapse_operators(scheme: LevelScheme, params: SimParams) -> list:
     jg = scheme.j_ground
     ni = ji.twice + 1
     ng = jg.twice + 1
-    ops = []
+    nr = n - off["r1"]
+    C = np.zeros((3 + nr * ng, n, n), dtype=complex)
     # branching weights: sum over m_g and q of the squared 3-j for a
     # fixed i substate is 1/(2 J_i + 1), so this scale gives each i
-    # state total decay rate gamma_i
+    # state total decay rate gamma_i; unit components give one block per q
     scale = math.sqrt(params.gamma_i * (ji.twice + 1))
-    for comp in np.eye(3):  # one channel per q = -1, 0, +1
-        Bq = dipole_block(ji, jg, comp)  # i rows x g cols
-        C = np.zeros((n, n), dtype=complex)
-        C[off["g"] : off["g"] + ng, off["i"] : off["i"] + ni] = scale * Bq.conj().T
-        ops.append(C)
-    for k in range(off["r1"], n):
-        for gk in range(ng):
-            C = np.zeros((n, n))
-            C[off["g"] + gk, k] = math.sqrt(params.gamma_r / ng)
-            ops.append(C)
-    return ops
+    Bq = dipole_block(ji, jg, np.eye(3)[:, :, None, None])  # (q, i rows, g cols)
+    C[:3, off["g"] : off["g"] + ng, off["i"] : off["i"] + ni] = scale * Bq.conj().swapaxes(1, 2)
+    c = np.arange(nr * ng)
+    k, mg = np.divmod(c, ng)
+    C[3 + c, off["g"] + mg, off["r1"] + k] = math.sqrt(params.gamma_r / ng)
+    return C
 
 
-def liouvillian(H: np.ndarray, collapse: list) -> np.ndarray:
-    """Dense Lindblad generator acting on row-major vec(rho)."""
+def liouvillian(H: np.ndarray, collapse: np.ndarray) -> np.ndarray:
+    """Dense Lindblad generator acting on row-major vec(rho), for any H
+    (Hermitian or not) and a (channels, n, n) stack of jump operators C:
+
+        L = G (x) I + I (x) (iH - K/2)^T + J,   K = sum_c C_c^dagger C_c,
+
+    where G = -iH - K/2 is the effective non-Hermitian Hamiltonian, and the
+    jump term J = sum_c C_c (x) C_c^* is one (n^2, channels) x
+    (channels, n^2) product whose (ik, jl) entries are reordered to (ij, kl).
+    """
     n = H.shape[0]
     eye = np.eye(n)
-    L = -1j * (np.kron(H, eye) - np.kron(eye, H.T))
-    # the anticommutator term is linear in C^dagger C: sum it over the
-    # channels first, so its two N x N Kronecker products are built once
-    CdC = np.zeros((n, n), dtype=complex)
-    for C in collapse:
-        L += np.kron(C, C.conj())
-        CdC += C.conj().T @ C
-    L -= 0.5 * (np.kron(CdC, eye) + np.kron(eye, CdC.T))
-    return L
+    K = np.tensordot(collapse.conj(), collapse, axes=([0, 1], [0, 1]))
+    flat = collapse.reshape(-1, n * n)
+    jump = (flat.T @ flat.conj()).reshape(n, n, n, n).transpose(0, 2, 1, 3)
+    return (np.kron(-1j * H - 0.5 * K, eye) + np.kron(eye, (1j * H - 0.5 * K).T)
+            + jump.reshape(n * n, n * n))
 
 
 def _impose_trace(L: np.ndarray, n: int) -> np.ndarray:
@@ -270,23 +266,21 @@ def _impose_trace(L: np.ndarray, n: int) -> np.ndarray:
     return b
 
 
-def steady_state(H: np.ndarray, collapse: list, check_unique: bool = False) -> np.ndarray:
+def steady_state(H: np.ndarray, collapse: np.ndarray) -> np.ndarray:
     """Stationary density matrix of the Lindblad generator: the dense
     reference solve, one Liouvillian and one linear system per call;
-    rho is returned Hermitized."""
+    rho is returned Hermitized.  SimParams rejects the zero decay rates
+    and the zero probe that would leave it not unique."""
     n = H.shape[0]
     L = liouvillian(H, collapse)
-    if check_unique:
-        sv = np.linalg.svd(L, compute_uv=False)
-        scale = sv[0] if sv[0] > 0 else 1.0
-        if np.sum(sv / scale < 1e-8) > 1:
-            raise NonUniqueSteadyState("Lindblad nullspace dimension exceeds 1")
     b = _impose_trace(L, n)
     rho = np.linalg.solve(L, b).reshape(n, n)
     return 0.5 * (rho + rho.conj().T)
 
 
-def lindblad_residual(H: np.ndarray, collapse: list, rho: np.ndarray) -> float:
+def lindblad_residual(H: np.ndarray, collapse: np.ndarray, rho: np.ndarray) -> float:
+    """Norm of the matrix-form Lindblad right-hand side, one channel at a
+    time: the reference that liouvillian is tested against."""
     drho = -1j * (H @ rho - rho @ H)
     for C in collapse:
         CdC = C.conj().T @ C
@@ -356,6 +350,8 @@ def _shift_schur(L: np.ndarray, m: int) -> tuple:
     sol = np.linalg.solve(L[np.ix_(q, q)], np.column_stack((b[q], L[np.ix_(q, p)])))
     x0, G = sol[:, 0], sol[:, 1:]
     M = (L[np.ix_(p, p)] - A_PQ @ G) / d[p, None]
+    if not np.all(np.isfinite(M)):
+        raise np.linalg.LinAlgError("Schur complement is not finite")
     T, Z = schur(M, output="complex")
     h = Z.conj().T @ (-(A_PQ @ x0) / d[p])
     return p, q, x0, G, Z, T, h
@@ -409,7 +405,7 @@ def eit_spectrum(scheme: LevelScheme, params: SimParams, sop: RfSop | float) -> 
     H = build_hamiltonian(scheme, params, sop, 0.0)
     m = scheme.offsets()["r1"]
     baseline = probe_absorption(
-        scheme, params, steady_state(H[:m, :m], [C[:m, :m] for C in collapse])
+        scheme, params, steady_state(H[:m, :m], collapse[:, :m, :m])
     )
 
     rho = _steady_states(_shift_schur(liouvillian(H, collapse), m), grid)

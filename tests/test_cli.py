@@ -213,6 +213,7 @@ class TestEitCommand:
         {"coupling_detuning_grid": []},
         {"gamma_r": 0},
         {"gamma_i": 0},
+        {"omega_probe": 0},
     ])
     def test_bad_params_invalid_input(self, tmp_path, capsys, params):
         out = tmp_path / "x.csv"
@@ -262,6 +263,18 @@ class TestEitCommand:
                                           "coupling_target": "r1"})
         assert main(["eit", "--scenario", str(path), "-o", str(out)]) == 0
         assert out.exists()
+
+    @pytest.mark.parametrize("params", [{"omega_coupling": 1e160}, {"omega_probe": 1e-200}],
+                             ids=["omega_coupling_1e160", "omega_probe_1e-200"])
+    def test_non_finite_reduction_numerical_failure(self, tmp_path, capsys, params):
+        # finite inputs that overflow the Schur complement fail as a
+        # numerical error with a message, not a traceback
+        out = tmp_path / "x.csv"
+        rc = main(["eit", "--scenario", str(self.scenario(tmp_path, params=params)),
+                   "-o", str(out)])
+        assert rc == 4
+        assert "Schur complement is not finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestInvertCommand:

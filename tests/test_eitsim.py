@@ -1,5 +1,7 @@
 import math
 from dataclasses import replace
+from functools import partial
+from itertools import product
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from rydpol.eitsim import (
 )
 from rydpol.eitsim import _shift_schur, _steady_states
 from rydpol.sop import (
+    OPTICS_PRESETS,
     rotated_circular_optics,
     sop_from_phi,
     standard_optics,
@@ -134,6 +137,12 @@ class TestSimParams:
         with pytest.raises(ValueError, match="%s must be finite and positive" % name):
             SimParams(**{name: 0.0})
 
+    def test_zero_probe_rejected(self):
+        # without a probe nothing pumps the ground doublet, so the steady
+        # state is not unique
+        with pytest.raises(ValueError, match="omega_probe must be finite and positive"):
+            SimParams(omega_probe=0.0)
+
     def test_strong_probe_warns(self):
         with pytest.warns(UserWarning):
             SimParams(omega_probe=10.0, gamma_i=6.0)
@@ -164,10 +173,10 @@ class TestHamiltonian:
         assert np.allclose(d - np.diag(np.diag(d)), 0.0)
 
     def test_rf_block_matches_dressing_eigenvalues(self):
-        # with lasers off, the Rydberg block must reproduce the dressed
-        # eigenvalues scaled by omega_rf
+        # with the coupling laser off, the Rydberg block must reproduce the
+        # dressed eigenvalues scaled by omega_rf (the probe acts on g-i only)
         s = scheme_for_class(FIVE_HALF)
-        p = small_params(omega_probe=0.0, omega_coupling=0.0)
+        p = small_params(omega_coupling=0.0)
         for phi in (0.3, 1.0, 2.2):
             H = build_hamiltonian(s, p, phi, 0.0)
             off = s.offsets()
@@ -203,6 +212,19 @@ class TestCollapse:
         assert np.allclose(diag[off["r1"]:], p.gamma_r, atol=1e-14)
 
 
+def _scheme_generator(cls, third):
+    s = scheme_for_class(cls, third_delta3_mhz=third)
+    p = small_params()
+    return build_hamiltonian(s, p, 1.3, -2.0), collapse_operators(s, p)
+
+
+def _random_generator():
+    """A complex non-Hermitian H and a stack of dense complex jump operators."""
+    rng = np.random.default_rng(11)
+    H = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
+    return H, rng.normal(size=(4, 7, 7)) + 1j * rng.normal(size=(4, 7, 7))
+
+
 class TestSteadyState:
     def test_density_matrix_properties(self):
         s = scheme_for_class(HALF_ZERO)
@@ -215,12 +237,19 @@ class TestSteadyState:
         assert np.linalg.eigvalsh(rho).min() > -1e-10
         assert lindblad_residual(H, ops, rho) < 1e-10
 
-    def test_uniqueness_check_passes(self):
-        s = scheme_for_class(HALF_ZERO)
-        p = small_params()
-        H = build_hamiltonian(s, p, 0.4, 0.0)
-        rho = steady_state(H, collapse_operators(s, p), check_unique=True)
-        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+    @settings(max_examples=5, deadline=None)
+    @given(phi=st.floats(0.0, 2 * math.pi), gamma_r=st.floats(0.01, 1.0))
+    def test_steady_state_unique(self, phi, gamma_r):
+        # SimParams rejects every known source of a second stationary state
+        # (zero gamma_i, gamma_r or omega_probe), so the Liouvillian has a
+        # one-dimensional kernel: one singular value below 1e-8 of the largest
+        for cls, third, optics in product(EXPERIMENTAL_CLASSES, (None, 100.0),
+                                          OPTICS_PRESETS.values()):
+            s = scheme_for_class(cls, third_delta3_mhz=third)
+            p = small_params(gamma_r=gamma_r, optics=optics())
+            L = liouvillian(build_hamiltonian(s, p, phi, 0.0), collapse_operators(s, p))
+            sv = np.linalg.svd(L, compute_uv=False)
+            assert np.sum(sv < 1e-8 * sv[0]) == 1, (cls, third, optics)
 
     def test_liouvillian_annihilates_steady_state(self):
         s = scheme_for_class(HALF_ZERO)
@@ -231,16 +260,19 @@ class TestSteadyState:
         rho = steady_state(H, ops)
         assert np.linalg.norm(L @ rho.reshape(-1)) < 1e-10
 
-    @pytest.mark.parametrize("cls,third", [(HALF_ZERO, None), (FIVE_HALF, 100.0)],
-                             ids=["1/2^0", "3/2^+_r3"])
-    def test_liouvillian_matches_matrix_form(self, cls, third):
+    @pytest.mark.parametrize("generator", [
+        partial(_scheme_generator, HALF_ZERO, None),
+        partial(_scheme_generator, FIVE_HALF, 100.0),
+        partial(_scheme_generator, HALF_ZERO, 100.0),
+        partial(_scheme_generator, HALF_PLUS, 100.0),
+        partial(_scheme_generator, TransitionClass.of(1.5, 0), 100.0),
+        _random_generator,
+    ], ids=["1/2^0", "3/2^+_r3", "1/2^0_r3", "1/2^+_r3", "3/2^0_r3", "random_non_hermitian"])
+    def test_liouvillian_matches_matrix_form(self, generator):
         # off the steady state as well: L vec(X) against the matrix-form
         # Lindblad right-hand side of lindblad_residual, X not Hermitian
-        s = scheme_for_class(cls, third_delta3_mhz=third)
-        p = small_params()
-        H = build_hamiltonian(s, p, 1.3, -2.0)
-        ops = collapse_operators(s, p)
-        n = s.n_states
+        H, ops = generator()
+        n = H.shape[0]
         rng = np.random.default_rng(7)
         X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         ref = -1j * (H @ X - X @ H)

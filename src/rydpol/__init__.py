@@ -9,7 +9,6 @@ API.
 
 from .angular import (
     HalfInt,
-    dipole_angular_factor,
     reduced_coupling_strength,
     wigner3j,
     wigner6j,

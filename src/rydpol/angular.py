@@ -226,10 +226,6 @@ def wigner6j(a, b, c, d, e, f) -> float:
     return sign * _sqrt_fraction(norm * total * total)
 
 
-def _jprime(J: HalfInt, p: int) -> HalfInt:
-    return J + (1 if p != 0 else 0)
-
-
 def reduced_coupling_strength(J, p: int) -> float:
     """Per-transition-class product of the simplified 6-j and the
     sqrt((2J+1)(2J'+1)(L+1)) factor, with the radial scale set to 1.
@@ -253,56 +249,3 @@ def reduced_coupling_strength(J, p: int) -> float:
         return common / math.sqrt(twoJ / 2.0)
     sign = -1.0 if p == 1 else 1.0
     return sign * common * math.sqrt(twoJ + 3)
-
-
-def orbital_angular_momentum(J, p: int) -> int:
-    """L of the lower level for a transition class (S = 1/2 throughout)."""
-    J = HalfInt.of(J)
-    if p in (0, 1):
-        L2 = J.twice - 1  # J = L + 1/2
-    else:
-        L2 = J.twice + 1  # J = L - 1/2  (only reached from higher-L lower states)
-    if L2 < 0 or L2 % 2 != 0:
-        raise ValueError("class (J=%s, p=%d) has no valid L" % (J, p))
-    return L2 // 2
-
-
-def dipole_angular_factor(J, p: int, mJ, mJp, q) -> float:
-    """Angular part of <J' mJ'| r_q |J mJ> for a transition class, radial
-    matrix element set to 1.  Zero (not an error) when mJ' != mJ + q.
-    """
-    J = HalfInt.of(J)
-    mJ, mJp, q = HalfInt.of(mJ), HalfInt.of(mJp), HalfInt.of(q)
-    if not q.is_integer or abs(q.twice) > 2:
-        raise ValueError("q must be -1, 0, or +1")
-    Jp = _jprime(J, p)
-    if abs(mJ.twice) > J.twice or abs(mJp.twice) > Jp.twice:
-        raise ValueError("|m| exceeds j")
-    if mJp.twice != mJ.twice + q.twice:
-        return 0.0
-    threej = wigner3j(Jp, HalfInt.of(1), J, -mJp, q, mJ)
-    # phase exponent J' + J - mJ' - 1/2 is an integer for half-integer J, J'
-    exp2 = Jp.twice + J.twice - mJp.twice - 1
-    phase = -1 if (exp2 // 2) % 2 else 1
-    return phase * threej * reduced_coupling_strength(J, p)
-
-
-def dipole_angular_factor_generic(J, p: int, mJ, mJp, q) -> float:
-    """Same matrix element evaluated from generic 3-j/6-j symbols without the
-    per-class closed forms; independent cross-check route.
-    """
-    J = HalfInt.of(J)
-    mJ, mJp, q = HalfInt.of(mJ), HalfInt.of(mJp), HalfInt.of(q)
-    Jp = _jprime(J, p)
-    if mJp.twice != mJ.twice + q.twice:
-        return 0.0
-    L = orbital_angular_momentum(J, p)
-    Lp = L + 1
-    half = HalfInt(1)
-    threej = wigner3j(Jp, HalfInt.of(1), J, -mJp, q, mJ)
-    sixj = wigner6j(Lp, Jp, half, J, L, HalfInt.of(1))
-    # (-1)^(J'-mJ') * (-1)^(L'+S'+J+1) * (-1)^(L') with S' = 1/2
-    exp2 = (Jp.twice - mJp.twice) + (2 * Lp + 1 + J.twice + 2) + 2 * Lp
-    phase = -1 if (exp2 // 2) % 2 else 1
-    reduced = math.sqrt((J.twice + 1) * (Jp.twice + 1) * Lp)
-    return phase * threej * reduced * sixj

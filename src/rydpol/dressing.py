@@ -199,7 +199,7 @@ def dipole_block(j_upper: HalfInt, j_lower: HalfInt, components,
 def rf_block(cls: TransitionClass, c_minus, c_plus) -> np.ndarray:
     """RF dipole block (r2 rows x r1 columns) of a transition class for the
     spherical components (c_minus, c_plus), radial scale 1; each entry is
-    sum_q c_q * dipole_angular_factor(J, p, m, m', q)."""
+    sum_q c_q times the angular part of <J' m'| r_q |J m>."""
     sign = -1.0 if ((cls.J.twice - 1) // 2) % 2 else 1.0
     return dipole_block(cls.j_prime, cls.J, (c_minus, 0.0, c_plus),
                         sign * reduced_coupling_strength(cls.J, cls.p))
@@ -264,11 +264,16 @@ def spectrogram(
     return [eigen_spectrum(cls, float(phi), degeneracy_tol) for phi in phi_grid]
 
 
-def envelopes_exact(phi: float) -> EnvelopePair:
-    """Exact outer/inner eigenvalue envelopes for the (3/2, +-) classes."""
-    s = abs(math.sin(phi))
+def envelope_magnitudes(s: float) -> tuple:
+    """(outer, inner) exact (3/2, +-) envelope magnitudes at s = |sin phi|."""
     outer = math.sqrt(10.0 + 3.0 * s + math.sqrt(33.0 * s * s + 12.0 * s + 4.0)) / 5.0
     inner = math.sqrt(10.0 - 3.0 * s - math.sqrt(33.0 * s * s - 12.0 * s + 4.0)) / 5.0
+    return outer, inner
+
+
+def envelopes_exact(phi: float) -> EnvelopePair:
+    """Exact outer/inner eigenvalue envelopes for the (3/2, +-) classes."""
+    outer, inner = envelope_magnitudes(abs(math.sin(phi)))
     return EnvelopePair(outer, -outer, inner, -inner)
 
 

@@ -349,7 +349,9 @@ def _shift_schur(L: np.ndarray, m: int) -> tuple:
     A_PQ = L[np.ix_(p, q)]
     sol = np.linalg.solve(L[np.ix_(q, q)], np.column_stack((b[q], L[np.ix_(q, p)])))
     x0, G = sol[:, 0], sol[:, 1:]
-    M = (L[np.ix_(p, p)] - A_PQ @ G) / d[p, None]
+    # an overflow here is reported by the finiteness check, not as warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        M = (L[np.ix_(p, p)] - A_PQ @ G) / d[p, None]
     if not np.all(np.isfinite(M)):
         raise np.linalg.LinAlgError("Schur complement is not finite")
     T, Z = schur(M, output="complex")

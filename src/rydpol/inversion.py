@@ -12,6 +12,10 @@ central peak prunes the set to a twofold {phi, 2pi-phi} pair; combining
 measurements in the standard and rotated_circular optical configurations
 singles out a unique phi.  invert_peaks is the one map from a class and
 its peaks to candidates; the CLI and round_trip both go through it.
+
+Everything here is numpy and math: peaks come from a local-maximum scan
+with a prominence threshold, and the (3/2, +-) principal angle from a
+bisection on s = |sin phi|, on which the exact envelope ratio is monotone.
 """
 
 from __future__ import annotations
@@ -20,10 +24,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.signal import find_peaks
 
-from .dressing import TransitionClass, eigen_spectrum, envelopes_exact
+from .dressing import TransitionClass, eigen_spectrum, envelope_magnitudes, envelopes_exact
 
 _TWO_PI = 2.0 * math.pi
 # candidates closer than this (radians) are one candidate
@@ -100,18 +102,49 @@ def _angle_dist(a: float, b: float) -> float:
     return min(d, _TWO_PI - d)
 
 
-def _refine_quadratic(x: np.ndarray, y: np.ndarray, k: int) -> tuple:
-    """Sub-sample peak (position, height) via a parabola through 3 points."""
-    if k == 0 or k == len(x) - 1:
-        return float(x[k]), float(y[k])
-    coeffs = np.polyfit(x[k - 1 : k + 2], y[k - 1 : k + 2], 2)
-    a, b, c = coeffs
-    if a >= 0:  # not locally concave; keep the grid point
-        return float(x[k]), float(y[k])
-    xm = -b / (2.0 * a)
-    if not (x[k - 1] <= xm <= x[k + 1]):
-        return float(x[k]), float(y[k])
-    return float(xm), float(np.polyval(coeffs, xm))
+def _find_peaks(y: np.ndarray, thr: float) -> tuple:
+    """Indices and prominences of the local maxima of y with prominence
+    >= thr, bit for bit those of find_peaks(y, prominence=thr), which the
+    tests compare it with.
+
+    A run of equal samples counts once, at its middle index (rounded
+    down), and a run touching either end is no peak.  A peak's prominence
+    is its height minus the larger of the two side minima, each taken out
+    to the nearest strictly higher sample.  It never exceeds y[k] - y.min(),
+    so maxima with y[k] - y.min() < thr are dropped before the scan.
+    """
+    starts = np.flatnonzero(np.concatenate(([True], y[1:] != y[:-1])))
+    v = y[starts]
+    ends = np.append(starts[1:], y.size) - 1
+    up = (v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])
+    mids = (starts[1:-1][up] + ends[1:-1][up]) // 2
+    idx, proms = [], []
+    for k in mids[y[mids] - y.min() >= thr]:
+        h = y[k]
+        left = np.flatnonzero(y[:k] > h)
+        right = np.flatnonzero(y[k + 1 :] > h)
+        lo = left[-1] + 1 if left.size else 0
+        hi = k + 1 + right[0] if right.size else y.size
+        prom = h - max(y[lo : k + 1].min(), y[k:hi].min())
+        if prom >= thr:
+            idx.append(int(k))
+            proms.append(float(prom))
+    return idx, proms
+
+
+def _refine_quadratic(x: np.ndarray, y: np.ndarray, k: int) -> float:
+    """Sub-sample position of the peak at interior index k: the vertex of
+    the parabola through the three samples around it, from divided
+    differences."""
+    x0, x1, x2 = x[k - 1 : k + 2].tolist()
+    y0, y1, y2 = y[k - 1 : k + 2].tolist()
+    d01 = (y1 - y0) / (x1 - x0)
+    a = ((y2 - y1) / (x2 - x1) - d01) / (x2 - x0)
+    if a < 0:
+        xm = 0.5 * (x0 + x1) - d01 / (2.0 * a)
+        if x0 <= xm <= x2:
+            return xm
+    return x1  # not locally concave, or vertex outside the bracket
 
 
 def extract_peaks(
@@ -144,15 +177,10 @@ def extract_peaks(
     span = float(np.ptp(y))
     if span <= 0:
         raise FewerThanFourPeaks("flat spectrum")
-    idx, props = find_peaks(y, prominence=min_prominence * span)
-    if idx.size == 0:
+    idx, proms = _find_peaks(y, min_prominence * span)
+    if not idx:
         raise FewerThanFourPeaks("no peaks above prominence threshold")
-
-    peaks = []
-    for k, prom in zip(idx, props["prominences"]):
-        pos, _ = _refine_quadratic(x, y, int(k))
-        peaks.append((pos, float(prom)))
-    peaks.sort()
+    peaks = sorted((_refine_quadratic(x, y, k), prom) for k, prom in zip(idx, proms))
 
     if merge_tol > 0:
         merged = []
@@ -249,25 +277,27 @@ def envelope_ratio_exact(phi: float) -> float:
     return e.outer_plus / e.inner_plus
 
 
-def phase_from_ratio_approx(R: float) -> float:
-    """Principal angle from the quadratic (approximate-envelope) inversion."""
-    disc = 4.0 * R * R - 2.0 * R * math.sqrt(6.0) + 8.0 - 2.0 * math.sqrt(15.0)
-    arg = (math.sqrt(max(disc, 0.0)) - math.sqrt(5.0) + math.sqrt(3.0)) / (
-        math.sqrt(2.0) * R
-    )
-    return math.asin(min(max(arg, -1.0), 1.0))
-
-
 def phase_from_ratio_exact(R: float) -> float:
-    """Principal angle solving the exact envelope ratio by brentq on
-    [0, pi/2]."""
+    """Principal angle in [0, pi/2] solving the exact envelope ratio.
+
+    The ratio depends on phi only through s = |sin phi| and rises
+    monotonically from sqrt(3/2) at s = 0 to sqrt(10) at s = 1, so s is
+    bisected on [0, 1] until the midpoint stops moving; R at or beyond
+    either end returns that end.
+    """
     if R <= R_FIVE_MIN:
         return 0.0
     if R >= R_FIVE_MAX:
         return math.pi / 2.0
-    return brentq(
-        lambda phi: envelope_ratio_exact(phi) - R, 0.0, math.pi / 2.0, xtol=1e-13
-    )
+    lo, mid, hi = 0.0, 0.5, 1.0
+    while lo < mid < hi:
+        outer, inner = envelope_magnitudes(mid)
+        if outer / inner < R:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return math.asin(mid)
 
 
 # phi interval in which the central peak is prominent, per optics

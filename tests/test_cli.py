@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import rydpol
 from rydpol.cli import main
 from rydpol.dressing import TransitionClass, eigen_spectrum
 
@@ -266,6 +270,7 @@ class TestEitCommand:
 
     @pytest.mark.parametrize("params", [{"omega_coupling": 1e160}, {"omega_probe": 1e-200}],
                              ids=["omega_coupling_1e160", "omega_probe_1e-200"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_reduction_numerical_failure(self, tmp_path, capsys, params):
         # finite inputs that overflow the Schur complement fail as a
         # numerical error with a message, not a traceback
@@ -533,3 +538,15 @@ class TestUsage:
 
     def test_version_exits_zero(self):
         assert main(["--version"]) == 0
+
+
+def test_cli_import_leaves_out_slow_scipy_modules():
+    # scipy.signal (which pulls in scipy.stats) and scipy.optimize cost
+    # about 0.6 s per CLI call; a fresh interpreter must not load them
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rydpol.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import rydpol.cli, sys; print(' '.join(m for m in "
+            "('scipy.signal', 'scipy.optimize', 'scipy.stats') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.split() == []

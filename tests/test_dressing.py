@@ -21,7 +21,8 @@ from rydpol.dressing import (
     write_envelopes_csv,
     write_spectrogram_csv,
 )
-from rydpol.angular import HalfInt, dipole_angular_factor
+from oracles import dipole_angular_factor
+from rydpol.angular import HalfInt
 from rydpol.sop import sop_from_phi
 
 HALF_ZERO = TransitionClass.of(0.5, 0)
@@ -112,7 +113,7 @@ class TestOracle:
         phi=st.floats(0.0, 2 * math.pi),
     )
     def test_oracle_block_matches_dipole_angular_factor(self, twoJ, p, phi):
-        # the shared Wigner-Eckart builder against the public per-element
+        # the shared Wigner-Eckart builder against the per-element oracle
         # reference, element by element
         cls = TransitionClass(HalfInt(twoJ), p)
         sop = sop_from_phi(phi)

@@ -2,9 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
+from scipy.signal import find_peaks
 
+from oracles import phase_from_ratio_approx
 from rydpol.dressing import TransitionClass, eigen_spectrum, envelopes_exact
 from rydpol.inversion import (
+    R_FIVE_MAX,
+    R_FIVE_MIN,
     DegenerateInner,
     DegenerateOuter,
     FewerThanFourPeaks,
@@ -13,6 +20,8 @@ from rydpol.inversion import (
     OutOfRange,
     PeakSet,
     PhaseCandidates,
+    _find_peaks,
+    _refine_quadratic,
     combine_candidates,
     envelope_ratio_exact,
     extract_peaks,
@@ -20,7 +29,6 @@ from rydpol.inversion import (
     invert_half,
     invert_peaks,
     peakset_from_eigenvalues,
-    phase_from_ratio_approx,
     phase_from_ratio_exact,
     prominence_interval,
     ratio_five_half,
@@ -131,6 +139,48 @@ class TestExtractPeaks:
         assert ps.lambda_o_plus == pytest.approx(0.9, rel=5e-3)
 
 
+class TestFindPeaks:
+    """The numpy peak finder against scipy.signal.find_peaks."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(y=st.lists(st.integers(0, 4), min_size=1, max_size=40), pick=st.integers(0, 50))
+    @example(y=[0, 2, 2, 2, 0], pick=0)  # plateau: one peak at its middle
+    @example(y=[0, 2, 2, 0, 1], pick=0)  # even plateau: middle rounded down
+    @example(y=[3, 3, 1, 2, 1, 3, 3], pick=0)  # edge plateaus are no peaks
+    @example(y=[4, 1, 3, 1, 4], pick=0)  # edge maxima are no peaks
+    @example(y=[0, 2, 0, 2, 0, 2, 0], pick=0)  # equal heights
+    @example(y=[0, 3, 1, 4, 1, 3, 0], pick=3)  # threshold at a prominence (2)
+    def test_matches_scipy(self, y, pick):
+        y = np.asarray(y, dtype=float)
+        # thresholds at every prominence scipy reports, plus ones between
+        # and beyond them
+        proms = find_peaks(y, prominence=0.0)[1]["prominences"]
+        thresholds = sorted(set(proms.tolist()) | {0.0, 0.5, 1.5, 10.0})
+        thr = thresholds[pick % len(thresholds)]
+        idx, props = find_peaks(y, prominence=thr)
+        mine_idx, mine_proms = _find_peaks(y, thr)
+        assert mine_idx == idx.tolist()
+        assert mine_proms == props["prominences"].tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        h=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+        dx=st.lists(st.floats(0.01, 1.0), min_size=2, max_size=2),
+    )
+    def test_refine_vertex_matches_polyfit(self, h, dx):
+        x = np.array([0.0, dx[0], dx[0] + dx[1]])
+        y = np.array(h)
+        a, b, _ = np.polyfit(x, y, 2)
+        if abs(a) <= 1e-6:  # the sign of a nearly flat fit is rounding
+            return
+        vertex = -b / (2.0 * a)
+        xm = _refine_quadratic(x, y, 1)
+        if a > 0 or not x[0] - 1e-6 <= vertex <= x[2] + 1e-6:
+            assert xm == x[1]
+        elif x[0] + 1e-6 <= vertex <= x[2] - 1e-6:
+            assert xm == pytest.approx(vertex, abs=1e-9)
+
+
 class TestPeakSet:
     def test_straddle_invariant(self):
         with pytest.raises(NonStraddling):
@@ -196,6 +246,20 @@ class TestFiveHalfKernel:
         for phi in (0.2, 0.7, 1.2, 1.5):
             R = envelope_ratio_exact(phi)
             assert phase_from_ratio_exact(R) == pytest.approx(phi, abs=1e-10)
+
+    def test_matches_brentq(self):
+        for phi in np.linspace(0.0, math.pi / 2 - 0.01, 301):
+            R = envelope_ratio_exact(phi)
+            if R <= R_FIVE_MIN:
+                continue
+            ref = brentq(lambda f: envelope_ratio_exact(f) - R, 0.0, math.pi / 2, xtol=1e-13)
+            assert abs(phase_from_ratio_exact(R) - ref) <= 1e-12
+
+    def test_ratio_residual_over_whole_range(self):
+        # near pi/2 dR/dphi -> 0 and phi is ill-conditioned, so the whole
+        # range is checked through the ratio it reproduces
+        for R in np.linspace(R_FIVE_MIN, R_FIVE_MAX, 1001):
+            assert abs(envelope_ratio_exact(phase_from_ratio_exact(R)) - R) <= 1e-14
 
     def test_approx_close_to_exact(self):
         for phi in np.linspace(0.1, math.pi / 2 - 0.1, 15):

@@ -13,7 +13,9 @@ Every run that writes files also writes a manifest JSON next to the first
 output recording every parsed argument (input paths made absolute), so a
 run can be reproduced exactly.  Angles are radians unless --degrees is
 given.  Exit codes: 0 success, 2 usage, 3 invalid input, 4 numerical
-failure.
+failure.  Float flags must be finite, tolerances and --min-prominence >= 0.
+`main` is re-entrant: it reuses the one parser `build_parser` caches, and
+runs `cmd_<command>` as bound when it is called.
 
 `eit --optics` takes a key of sop.OPTICS_PRESETS; `invert --config` and
 `--second-config`, a spectrum file's "config" and `roundtrip --configs`
@@ -24,6 +26,7 @@ and lists the valid ones.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -78,7 +81,7 @@ def _parse_halfint(text: str) -> HalfInt:
                 raise ValueError
             return HalfInt(int(num))
         return HalfInt.of(float(text))
-    except (ValueError, TypeError):
+    except (ValueError, TypeError, OverflowError):
         raise CliError("%r is not an integer or half-integer" % text)
 
 
@@ -95,12 +98,22 @@ def _phi_grid(args) -> np.ndarray:
     start, stop = args.phi_start, args.phi_stop
     if args.degrees:
         start, stop = math.radians(start), math.radians(stop)
-    for flag, value in (("--phi-start", start), ("--phi-stop", stop)):
-        if not math.isfinite(value):
-            raise CliError("%s must be finite" % flag)
     if not math.isfinite(stop - start):
         raise CliError("--phi-start to --phi-stop must be a finite span")
     return np.linspace(start, stop, args.phi_steps)
+
+
+def _check_numbers(args) -> None:
+    """Every float flag finite; tolerances and --min-prominence >= 0.
+    --third-level is checked with the scenario it overrides."""
+    for key, value in vars(args).items():
+        if not isinstance(value, float) or key == "third_level":
+            continue
+        flag = "--" + key.replace("_", "-")
+        if not math.isfinite(value):
+            raise CliError("%s must be finite" % flag)
+        if value < 0 and (key.endswith("_tol") or key == "min_prominence"):
+            raise CliError("%s must be non-negative" % flag)
 
 
 _INPUT_PATHS = ("scenario", "input", "second_input")
@@ -109,8 +122,6 @@ _INPUT_PATHS = ("scenario", "input", "second_input")
 def _write_manifest(args) -> None:
     manifest = {"tool": "rydpol", "version": __version__}
     for key, value in vars(args).items():
-        if key == "fn":
-            continue
         if key in _INPUT_PATHS and value is not None:
             value = os.path.abspath(value)
         manifest[key] = value
@@ -176,14 +187,18 @@ def cmd_envelopes(args) -> int:
     return EXIT_OK
 
 
-def cmd_eit(args) -> int:
+def _read_json(path, kind):
     try:
-        with open(args.scenario) as fh:
-            cfg = json.load(fh)
+        with open(path) as fh:
+            return json.load(fh)
     except FileNotFoundError:
-        raise CliError("scenario file not found: %s" % args.scenario)
+        raise CliError("%s file not found: %s" % (kind, path))
     except json.JSONDecodeError as exc:
-        raise CliError("invalid JSON in %s: %s" % (args.scenario, exc))
+        raise CliError("invalid JSON in %s: %s" % (path, exc))
+
+
+def cmd_eit(args) -> int:
+    cfg = _read_json(args.scenario, "scenario")
     if not isinstance(cfg, dict) or not isinstance(cfg.get("third_level") or {}, dict):
         raise CliError("%s: scenario and its third_level must be JSON objects" % args.scenario)
     if args.optics is not None:
@@ -209,17 +224,9 @@ def cmd_eit(args) -> int:
 def _load_spectrum(path: str, config):
     """(cls, x, y, config) of a spectrum file; a config not None overrides the
     file's.  The arrays are checked by extract_peaks."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise CliError("spectrum file not found: %s" % path)
-    except json.JSONDecodeError as exc:
-        raise CliError("invalid JSON in %s: %s" % (path, exc))
-    problems = []
-    for key in ("detuning_mhz", "amplitude", "class"):
-        if key not in doc:
-            problems.append("missing key %r" % key)
+    doc = _read_json(path, "spectrum")
+    problems = ["missing key %r" % key for key in ("detuning_mhz", "amplitude", "class")
+                if key not in doc]
     if problems:
         raise CliError("%s: %s" % (path, "; ".join(problems)))
     try:
@@ -305,6 +312,8 @@ def cmd_roundtrip(args) -> int:
     cls = _transition_class(args)
     phi_grid = _phi_grid(args)
     configs = tuple(_inversion_config(c.strip()) for c in args.configs.split(",") if c.strip())
+    if not configs:
+        raise CliError("--configs must name at least one optics configuration")
     rows = []
     failures = 0
     for phi in phi_grid:
@@ -346,6 +355,7 @@ def _add_phi_flags(p, steps=181):
                    help="interpret and emit angles in degrees")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rydpol",
@@ -362,13 +372,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--envelopes", choices=("exact", "approx"), default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(fn=cmd_spectrogram)
 
     p = sub.add_parser("envelopes", help="outer/inner envelope table")
     p.add_argument("--kind", choices=("exact", "approx"), default="exact")
     _add_phi_flags(p, steps=361)
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(fn=cmd_envelopes)
 
     p = sub.add_parser("eit", help="simulated EIT spectrogram")
     p.add_argument("--scenario", required=True, help="scenario config JSON")
@@ -378,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="enable or override the off-resonant third manifold")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(fn=cmd_eit)
 
     p = sub.add_parser("invert", help="phase-angle candidates from a spectrum")
     p.add_argument("--input", required=True, help="spectrum JSON")
@@ -399,13 +406,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--angle-tol", type=float, default=1e-3)
     p.add_argument("--degrees", action="store_true")
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(fn=cmd_invert)
 
     p = sub.add_parser("wigner", help="evaluate a 3-j or 6-j symbol")
     p.add_argument("--symbol", choices=("3j", "6j"), required=True)
     p.add_argument("values", nargs=6, metavar="J",
                    help="six (half-)integers, e.g. 1 3/2 1/2 ...")
-    p.set_defaults(fn=cmd_wigner)
 
     p = sub.add_parser("roundtrip", help="eigenvalue-level inversion sweep")
     _add_class_flags(p)
@@ -414,28 +419,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated optics configurations (%s)" % configs)
     p.add_argument("--angle-tol", type=float, default=1e-6)
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(fn=cmd_roundtrip)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(argv)
+        _check_numbers(args)
+        code = globals()["cmd_" + args.command](args)
+    except SystemExit as exc:  # from argparse: usage error, --help or --version
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    try:
-        code = args.fn(args)
-    except CliError as exc:
+    except (CliError, InversionError) as exc:
         sys.stderr.write("error: %s\n" % exc)
-        return exc.code
-    except NotInvertible as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return EXIT_INVALID
-    except InversionError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return EXIT_NUMERICAL
+        return getattr(exc, "code", EXIT_INVALID if isinstance(exc, NotInvertible)
+                       else EXIT_NUMERICAL)
     if getattr(args, "output", None):
         _write_manifest(args)
     return code

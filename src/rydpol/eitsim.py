@@ -23,7 +23,6 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import schur
 
 from .angular import HalfInt, integral
 from .dressing import TransitionClass, class_from_spec, dipole_block, oracle_scale, rf_block
@@ -340,6 +339,8 @@ def _shift_schur(L: np.ndarray, m: int) -> tuple:
     M = Z T Z^H is its complex Schur form; the poles of the spectrum sit
     at Delta_c = -diag(T).  Returns (p, q, x0, G, Z, T, Z^H g).
     """
+    from scipy.linalg import schur  # here, so only an EIT solve loads scipy.linalg
+
     n = math.isqrt(L.shape[0])
     ryd = np.zeros(n)
     ryd[m:] = 1.0

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import rydpol
+from rydpol import cli
 from rydpol.cli import main
 from rydpol.dressing import TransitionClass, eigen_spectrum
 
@@ -490,6 +492,14 @@ class TestWignerCommand:
         rc = main(["wigner", "--symbol", "3j", "1", "1", "x", "0", "0", "0"])
         assert rc == 3
 
+    @pytest.mark.parametrize("value", ["inf", "Infinity", "1e400"])
+    def test_overflowing_value_invalid_input(self, capsys, value):
+        rc = main(["wigner", "--symbol", "3j", value, "1", "1", "0", "0", "0"])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: %r is not an integer or half-integer\n" % value
+
 
 class TestRoundtripCommand:
     def test_half_zero_sweep(self, tmp_path):
@@ -518,6 +528,15 @@ class TestRoundtripCommand:
         rc = main(["roundtrip", "--J2", "3", "--p", "0", "--phi-steps", "3"])
         assert rc == 3
 
+    @pytest.mark.parametrize("configs", [",", " , ", ""])
+    def test_empty_configs_invalid_input(self, tmp_path, capsys, configs):
+        out = tmp_path / "rt.json"
+        rc = main(["roundtrip", "--J2", "3", "--p", "1", "--phi-steps", "3",
+                   "--configs", configs, "-o", str(out)])
+        assert rc == 3
+        assert "--configs must name at least one" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_not_invertible_message_shared_with_invert(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         write_spectrum(spec, TransitionClass.of(1.5, 0), 1.0)
@@ -527,6 +546,118 @@ class TestRoundtripCommand:
         assert capsys.readouterr().err == from_invert == (
             "error: class 3/2^0 is not invertible; supported classes are 1/2^0 "
             "and 3/2^+-\n")
+
+
+class TestNumericFlags:
+    """Every float flag must be finite, and the tolerances and
+    --min-prominence non-negative: exit 3 naming the flag, nothing written."""
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("invert", "--min-prominence", "nan"),
+        ("invert", "--min-prominence", "-1"),
+        ("invert", "--merge-tol", "nan"),
+        ("invert", "--merge-tol", "inf"),
+        ("invert", "--merge-tol", "-0.5"),
+        ("invert", "--central-tol", "nan"),
+        ("invert", "--central-tol", "-1"),
+        ("invert", "--ratio-tol", "nan"),
+        ("invert", "--ratio-tol", "-1e-6"),
+        ("invert", "--central-threshold", "nan"),
+        ("invert", "--central-threshold", "-inf"),
+        ("invert", "--angle-tol", "nan"),
+        ("invert", "--angle-tol", "-1"),
+        ("roundtrip", "--angle-tol", "nan"),
+        ("roundtrip", "--angle-tol", "inf"),
+        ("roundtrip", "--angle-tol", "-1"),
+    ])
+    def test_bad_value_invalid_input(self, tmp_path, capsys, command, flag, value):
+        spec = tmp_path / "spec.json"
+        write_spectrum(spec, TransitionClass.of(1.5, 1), 0.7)
+        out = tmp_path / "out.json"
+        if command == "invert":
+            argv = ["invert", "--input", str(spec), "--second-input", str(spec),
+                    "--central-tol", "1.0"]
+        else:
+            argv = ["roundtrip", "--J2", "3", "--p", "1", "--phi-steps", "3"]
+        rc = main(argv + ["%s=%s" % (flag, value), "-o", str(out)])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = "must be finite" if not math.isfinite(float(value)) else "must be non-negative"
+        assert captured.err == "error: %s %s\n" % (flag, message)
+        assert sorted(tmp_path.iterdir()) == [spec]
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--min-prominence", "0"), ("--merge-tol", "0"), ("--ratio-tol", "0"),
+        ("--central-threshold", "-0.5"),
+    ])
+    def test_boundary_value_accepted(self, tmp_path, capsys, flag, value):
+        spec = tmp_path / "spec.json"
+        write_spectrum(spec, TransitionClass.of(0.5, 0), 0.6)
+        assert main(["invert", "--input", str(spec), flag, value]) == 0
+        assert capsys.readouterr().err == ""
+
+
+class TestParserReuse:
+    """main builds its parser once per process and looks the command
+    function up when it is called."""
+
+    ARGVS = {
+        "spectrogram": ["spectrogram", "--J2", "3", "--p", "1", "--phi-steps", "5",
+                        "--envelopes", "approx", "-o", "x.csv"],
+        "envelopes": ["envelopes", "--kind", "approx", "--degrees", "-o", "x.csv"],
+        "eit": ["eit", "--scenario", "s.json", "--third-level", "100", "-o", "x.csv"],
+        "invert": ["invert", "--input", "a.json", "--second-input", "b.json",
+                   "--merge-tol", "0.5", "--degrees"],
+        "wigner": ["wigner", "--symbol", "6j", "1", "3/2", "1/2", "1/2", "0", "1"],
+        "roundtrip": ["roundtrip", "--J2", "1", "--p", "0", "--configs",
+                      "standard,rotated_circular"],
+    }
+
+    def test_reused_parser_parses_like_a_fresh_one(self, tmp_path, capsys):
+        assert main([]) == 2
+        assert main(["invert", "--bogus"]) == 2
+        assert main(["spectrogram", "--J2", "1", "--p", "7", "-o", "x.csv"]) == 2
+        assert main(["wigner", "--symbol", "3j", "x", "1", "1", "0", "0", "0"]) == 3
+        assert main(["roundtrip", "--J2", "1", "--p", "0", "--angle-tol", "nan"]) == 3
+        assert main(["invert", "--input", str(tmp_path / "missing.json")]) == 3
+        assert main(["wigner", "--symbol", "3j", "1", "1", "0", "0", "0", "0"]) == 0
+        assert main(["--version"]) == 0
+        capsys.readouterr()
+        assert cli.build_parser() is cli.build_parser()
+        for argv in self.ARGVS.values():
+            reused = cli.build_parser().parse_args(argv)
+            fresh = cli.build_parser.__wrapped__().parse_args(argv)
+            assert vars(reused) == vars(fresh)
+        assert sorted(self.ARGVS) == sorted(
+            name[len("cmd_"):] for name in vars(cli) if name.startswith("cmd_"))
+
+    def test_monkeypatched_command_is_called(self, monkeypatch, capsys):
+        main(["wigner", "--symbol", "3j", "1", "1", "0", "0", "0", "0"])
+        seen = []
+        monkeypatch.setattr(cli, "cmd_invert", lambda args: seen.append(args) or 0)
+        assert main(self.ARGVS["invert"]) == 0
+        assert [a.merge_tol for a in seen] == [0.5]
+        assert capsys.readouterr().err == ""
+
+    def test_no_parser_built_after_first_call(self, tmp_path, monkeypatch, capsys):
+        main(["wigner", "--symbol", "3j", "1", "1", "0", "0", "0", "0"])
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        spec = tmp_path / "spec.json"
+        write_spectrum(spec, TransitionClass.of(0.5, 0), 0.6)
+        assert main(["invert", "--input", str(spec)]) == 0
+        assert main(["roundtrip", "--J2", "1", "--p", "0", "--phi-steps", "3"]) == 0
+        assert main(["invert", "--bogus"]) == 2
+        assert main(["wigner", "--symbol", "3j", "x", "1", "1", "0", "0", "0"]) == 3
+        capsys.readouterr()
+        assert built == []
 
 
 class TestUsage:
@@ -540,13 +671,34 @@ class TestUsage:
         assert main(["--version"]) == 0
 
 
-def test_cli_import_leaves_out_slow_scipy_modules():
-    # scipy.signal (which pulls in scipy.stats) and scipy.optimize cost
-    # about 0.6 s per CLI call; a fresh interpreter must not load them
+def _fresh_interpreter(code):
     src = os.path.dirname(os.path.dirname(os.path.abspath(rydpol.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = ("import rydpol.cli, sys; print(' '.join(m for m in "
-            "('scipy.signal', 'scipy.optimize', 'scipy.stats') if m in sys.modules))")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
-    assert done.stdout.split() == []
+    return done.stdout.split()
+
+
+def test_cli_import_leaves_out_slow_scipy_modules():
+    # scipy.signal (which pulls in scipy.stats), scipy.optimize and
+    # scipy.linalg cost about 0.9 s per CLI call together; a fresh
+    # interpreter must not load them before an EIT spectrum needs the
+    # Schur form
+    for module in ("rydpol", "rydpol.cli"):
+        code = ("import %s, sys; print(' '.join(m for m in ('scipy.signal', "
+                "'scipy.optimize', 'scipy.stats', 'scipy.linalg') if m in sys.modules))"
+                % module)
+        assert _fresh_interpreter(code) == [], module
+
+
+def test_eit_spectrum_loads_scipy_linalg():
+    code = (
+        "import sys\n"
+        "from rydpol.dressing import TransitionClass\n"
+        "from rydpol.eitsim import SimParams, eit_spectrum, scheme_for_class\n"
+        "before = 'scipy.linalg' in sys.modules\n"
+        "eit_spectrum(scheme_for_class(TransitionClass.of(0.5, 0)),\n"
+        "             SimParams(coupling_detuning_grid=(-1.0, 0.0, 1.0)), 0.3)\n"
+        "print(before, 'scipy.linalg' in sys.modules)\n"
+    )
+    assert _fresh_interpreter(code) == ["False", "True"]

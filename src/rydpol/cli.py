@@ -225,6 +225,8 @@ def _load_spectrum(path: str, config):
     """(cls, x, y, config) of a spectrum file; a config not None overrides the
     file's.  The arrays are checked by extract_peaks."""
     doc = _read_json(path, "spectrum")
+    if not isinstance(doc, dict):
+        raise CliError("%s: spectrum must be a JSON object" % path)
     problems = ["missing key %r" % key for key in ("detuning_mhz", "amplitude", "class")
                 if key not in doc]
     if problems:

@@ -9,7 +9,10 @@ The probe drives g -> i and the coupling laser drives i -> r1 or i -> r2,
 whichever is dipole-accessible in the experiment being modeled (the
 S-series classes are probed on r1, the D-series on r2).  Peak positions in
 the probe response vs coupling detuning Delta_c sit at omega_rf times the
-dressed eigenvalues; optics only reshape peak prominences.
+dressed eigenvalues; optics only reshape peak prominences.  The spectrum
+is one linear readout of the steady state (the probe row on the g-i
+coherences), taken from one Schur reduction per SOP that also yields the
+dark steady state (_shift_schur, eit_spectrum).
 
 All rates and detunings are in MHz (angular frequency units absorbed into
 the Rabi conventions).
@@ -288,28 +291,31 @@ def lindblad_residual(H: np.ndarray, collapse: np.ndarray, rho: np.ndarray) -> f
 
 
 @lru_cache(maxsize=32)
-def _probe_weights(j_intermediate: HalfInt, j_ground: HalfInt,
-                   optics: OpticalConfig) -> np.ndarray:
-    """Amplitude block with which the probe drives g -> i, unit Frobenius
-    norm, shape (n_i, n_g).  Cached; the result is read-only."""
-    Bg = dipole_block(j_intermediate, j_ground, optics.probe_components())
+def _probe_row(scheme: LevelScheme, optics: OpticalConfig) -> np.ndarray:
+    """The probe readout as one row w over row-major vec(rho): the
+    amplitude block with which the probe drives g -> i (unit Frobenius
+    norm) on the i-g and g-i coherences, zero elsewhere, so that the probe
+    absorption is -Im(w . vec(rho)).  Cached; the result is read-only."""
+    Bg = dipole_block(scheme.j_intermediate, scheme.j_ground, optics.probe_components())
     norm = np.linalg.norm(Bg)
     W = Bg / norm if norm > 0 else Bg
-    W.setflags(write=False)
-    return W
-
-
-def probe_absorption(scheme: LevelScheme, params: SimParams,
-                     rho: np.ndarray) -> float | np.ndarray:
-    """Probe attenuation observable: imaginary part of the ground to
-    intermediate coherences projected on the probe coupling pattern.
-    rho is one density matrix (a float is returned) or a stack of shape
-    (..., n, n) (an array of shape (...) is returned)."""
+    n = scheme.n_states
     off = scheme.offsets()
-    W = _probe_weights(scheme.j_intermediate, scheme.j_ground, params.optics)
-    coh = rho[..., off["i"] : off["i"] + W.shape[0], off["g"] : off["g"] + W.shape[1]]
-    absorption = -np.imag(np.einsum("ij,...ij->...", W.conj(), coh))
-    return float(absorption) if absorption.ndim == 0 else absorption
+    w = np.zeros((n, n), dtype=complex)
+    w[off["i"] : off["i"] + W.shape[0], off["g"] : off["g"] + W.shape[1]] = W.conj()
+    # half on rho_ig and half, conjugated and negated, on rho_gi: the
+    # same readout of a Hermitian rho, and one that averages the rounding
+    # of the two computed copies of each coherence
+    w = (0.5 * (w - w.conj().T)).reshape(-1)
+    w.setflags(write=False)
+    return w
+
+
+def probe_absorption(scheme: LevelScheme, params: SimParams, rho: np.ndarray) -> float:
+    """Probe attenuation observable of one density matrix: imaginary part
+    of the ground to intermediate coherences projected on the probe
+    coupling pattern."""
+    return float(-np.imag(_probe_row(scheme, params.optics) @ rho.reshape(-1)))
 
 
 @dataclass(frozen=True)
@@ -326,18 +332,24 @@ class EitSpectrogram:
     response: np.ndarray  # shape (len(phi_grid), len(detuning_mhz))
 
 
-def _shift_schur(L: np.ndarray, m: int) -> tuple:
+def _shift_schur(L: np.ndarray, m: int, w: np.ndarray) -> tuple:
     """Reduce the trace-row steady-state system A(Delta_c) x = e_0, with
-    A(Delta_c) = L + Delta_c diag(d), to one Schur form (overwrites L).
+    A(Delta_c) = L + Delta_c diag(d), to one Schur form and one readout
+    row (overwrites L).
 
     H(Delta_c) = H(0) - Delta_c on the Rydberg diagonal (states m and up),
     so d is +-i on the coherences between a Rydberg and a non-Rydberg
     state (the set P) and zero everywhere else (the set Q, which holds the
     trace row and the probe coherences).  Eliminating Q leaves
         x_Q = x0 - G x_P,    (M + Delta_c) x_P = g,
-    with the Schur complement S = A_PP - A_PQ G and M = diag(d_P)^-1 S.
-    M = Z T Z^H is its complex Schur form; the poles of the spectrum sit
-    at Delta_c = -diag(T).  Returns (p, q, x0, G, Z, T, Z^H g).
+    with x0 = A_QQ^-1 b_Q, G = A_QQ^-1 A_QP, the Schur complement
+    S = A_PP - A_PQ G and M = diag(d_P)^-1 S.  M = Z T Z^H is its complex
+    Schur form; the poles of the spectrum sit at Delta_c = -diag(T).
+
+    Omega_c only couples P to Q and Delta_c only shifts P, so A_QQ holds
+    neither: x0 is the dark steady state (coupling laser off, x_P = 0).
+    For a readout row w that is zero on P, w . x = w_Q x0 - r y with
+    r = w_Q G Z and (T + Delta_c) y = h, h = Z^H g.  Returns (T, h, r).
     """
     from scipy.linalg import schur  # here, so only an EIT solve loads scipy.linalg
 
@@ -357,28 +369,7 @@ def _shift_schur(L: np.ndarray, m: int) -> tuple:
         raise np.linalg.LinAlgError("Schur complement is not finite")
     T, Z = schur(M, output="complex")
     h = Z.conj().T @ (-(A_PQ @ x0) / d[p])
-    return p, q, x0, G, Z, T, h
-
-
-def _steady_states(reduction: tuple, grid: np.ndarray) -> np.ndarray:
-    """Hermitized steady states at every Delta_c of the grid from the
-    _shift_schur reduction, shape (grid.size, n, n)."""
-    p, q, x0, G, Z, T, h = reduction
-    # (T + Delta_c) y = h for every grid point at once, last row first;
-    # Y holds one row per pole so that each row update reads contiguous rows
-    Y = np.empty((p.size, grid.size), dtype=complex)
-    for k in range(p.size - 1, -1, -1):
-        Y[k] = (h[k] - T[k, k + 1 :] @ Y[k + 1 :]) / (grid + T[k, k])
-    X = np.empty((p.size + q.size, grid.size), dtype=complex)
-    X[p] = Z @ Y
-    X[q] = x0[:, None] - G @ X[p]
-    n = math.isqrt(X.shape[0])
-    # Hermitize in place and hand out a view: the stack is the largest
-    # array of the sweep
-    rho = X.reshape(n, n, grid.size)
-    rho += rho.conj().transpose(1, 0, 2)
-    rho *= 0.5
-    return rho.transpose(2, 0, 1)
+    return T, h, (w[q] @ G) @ Z
 
 
 def eit_spectrum(scheme: LevelScheme, params: SimParams, sop: RfSop | float) -> EitSpectrum:
@@ -386,34 +377,30 @@ def eit_spectrum(scheme: LevelScheme, params: SimParams, sop: RfSop | float) -> 
     baseline (probe absorption with the coupling laser off) minus the
     probe absorption, clipped at zero.
 
-    With the coupling laser off nothing drives the Rydberg states, so the
-    dark steady state is zero outside the g and i states.  The baseline is
-    therefore the steady state of the g-i block of the Hamiltonian, which
-    holds no Omega_c term, and of the collapse operators: it depends on
-    neither the RF SOP, the transition class nor a third level.
-
     The coupling detuning enters the Liouvillian only as a diagonal shift,
     so one Schur form per SOP, of the Liouvillian at Delta_c = 0 reduced
-    to the shifted coherences, gives the steady state on the whole grid:
-    one triangular back-substitution whose rows each act on every grid
-    point at once (_shift_schur, _steady_states).  No linear system is
-    solved per detuning.  The stack of density matrices is read out by
-    probe_absorption.  steady_state stays the dense reference that this
-    is tested against.
+    to the shifted coherences, gives the steady state on the whole grid
+    (_shift_schur).  The probe readout is one linear function of the
+    steady state, and the reduction's x0 is the dark steady state, so
+    the response is -Im(r . y(Delta_c)) with the readout row r formed
+    once per SOP: one triangular back-substitution whose rows each act on
+    every grid point at once, and no density matrix is formed.  One
+    linear system is solved per SOP and none per detuning.  steady_state
+    and probe_absorption stay the dense reference that this is tested
+    against.
     """
     if not isinstance(sop, RfSop):
         sop = sop_from_phi(float(sop))
     grid = np.asarray(params.coupling_detuning_grid, dtype=float)
-    collapse = collapse_operators(scheme, params)
-    H = build_hamiltonian(scheme, params, sop, 0.0)
-    m = scheme.offsets()["r1"]
-    baseline = probe_absorption(
-        scheme, params, steady_state(H[:m, :m], collapse[:, :m, :m])
-    )
-
-    rho = _steady_states(_shift_schur(liouvillian(H, collapse), m), grid)
-    response = np.clip(baseline - probe_absorption(scheme, params, rho), 0.0, None)
-    return EitSpectrum(sop.phi, grid, response)
+    L = liouvillian(build_hamiltonian(scheme, params, sop, 0.0),
+                    collapse_operators(scheme, params))
+    T, h, r = _shift_schur(L, scheme.offsets()["r1"], _probe_row(scheme, params.optics))
+    # (T + Delta_c) y = h for every grid point at once, last row first;
+    # Y holds one row per pole so that each row update reads contiguous rows
+    Y = np.empty((h.size, grid.size), dtype=complex)
+    for k in range(h.size - 1, -1, -1):
+        Y[k] = (h[k] - T[k, k + 1 :] @ Y[k + 1 :]) / (grid + T[k, k])
+    return EitSpectrum(sop.phi, grid, np.clip(-np.imag(r @ Y), 0.0, None))
 
 
 def eit_spectrogram(scheme: LevelScheme, params: SimParams, phi_grid) -> EitSpectrogram:

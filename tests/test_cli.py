@@ -405,6 +405,14 @@ class TestInvertCommand:
         rc = main(["invert", "--input", str(bad)])
         assert rc == 3
 
+    @pytest.mark.parametrize("doc", [3, None, [1, 2], "x"],
+                             ids=["number", "null", "list", "string"])
+    def test_non_object_spectrum(self, tmp_path, capsys, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["invert", "--input", str(bad)]) == 3
+        assert "%s: spectrum must be a JSON object" % bad in capsys.readouterr().err
+
     def test_flat_spectrum_numerical_failure(self, tmp_path):
         flat = tmp_path / "flat.json"
         flat.write_text(json.dumps({

@@ -103,10 +103,6 @@ class CouplingMatrix:
     cls: TransitionClass
     phi: float | None
     entries: np.ndarray
-    basis: tuple
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.entries)
 
 
 @dataclass(frozen=True)
@@ -161,7 +157,7 @@ def coupling_matrix(cls: TransitionClass, phi: float) -> CouplingMatrix:
     c_plus, c_minus = _channel_matrices(cls)
     ch, sh = math.cos(phi / 2.0), math.sin(phi / 2.0)
     entries = c_plus * (ch + sh) + c_minus * (ch - sh)
-    return CouplingMatrix(cls, phi, entries, tuple(cls.basis()))
+    return CouplingMatrix(cls, phi, entries)
 
 
 @lru_cache(maxsize=None)
@@ -217,7 +213,7 @@ def oracle_matrix(cls: TransitionClass, sop: RfSop) -> CouplingMatrix:
     H = np.zeros((cls.dim, cls.dim), dtype=complex)
     H[n1:, :n1] = block
     H[:n1, n1:] = block.conj().T
-    return CouplingMatrix(cls, sop.phi, H, tuple(cls.basis()))
+    return CouplingMatrix(cls, sop.phi, H)
 
 
 def oracle_scale(cls: TransitionClass) -> float:

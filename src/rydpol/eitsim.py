@@ -11,8 +11,9 @@ S-series classes are probed on r1, the D-series on r2).  Peak positions in
 the probe response vs coupling detuning Delta_c sit at omega_rf times the
 dressed eigenvalues; optics only reshape peak prominences.  The spectrum
 is one linear readout of the steady state (the probe row on the g-i
-coherences), taken from one Schur reduction per SOP that also yields the
-dark steady state (_shift_schur, eit_spectrum).
+coherences): a sum of poles taken from one reduction and one
+eigendecomposition per SOP that also yields the dark steady state
+(_poles, eit_spectrum).
 
 All rates and detunings are in MHz (angular frequency units absorbed into
 the Rabi conventions).
@@ -332,10 +333,10 @@ class EitSpectrogram:
     response: np.ndarray  # shape (len(phi_grid), len(detuning_mhz))
 
 
-def _shift_schur(L: np.ndarray, m: int, w: np.ndarray) -> tuple:
+def _poles(L: np.ndarray, m: int, w: np.ndarray) -> tuple:
     """Reduce the trace-row steady-state system A(Delta_c) x = e_0, with
-    A(Delta_c) = L + Delta_c diag(d), to one Schur form and one readout
-    row (overwrites L).
+    A(Delta_c) = L + Delta_c diag(d), to its poles and the residues of one
+    readout row (overwrites L).
 
     H(Delta_c) = H(0) - Delta_c on the Rydberg diagonal (states m and up),
     so d is +-i on the coherences between a Rydberg and a non-Rydberg
@@ -343,16 +344,14 @@ def _shift_schur(L: np.ndarray, m: int, w: np.ndarray) -> tuple:
     trace row and the probe coherences).  Eliminating Q leaves
         x_Q = x0 - G x_P,    (M + Delta_c) x_P = g,
     with x0 = A_QQ^-1 b_Q, G = A_QQ^-1 A_QP, the Schur complement
-    S = A_PP - A_PQ G and M = diag(d_P)^-1 S.  M = Z T Z^H is its complex
-    Schur form; the poles of the spectrum sit at Delta_c = -diag(T).
+    S = A_PP - A_PQ G and M = diag(d_P)^-1 S = V diag(lam) V^-1.
 
     Omega_c only couples P to Q and Delta_c only shifts P, so A_QQ holds
     neither: x0 is the dark steady state (coupling laser off, x_P = 0).
-    For a readout row w that is zero on P, w . x = w_Q x0 - r y with
-    r = w_Q G Z and (T + Delta_c) y = h, h = Z^H g.  Returns (T, h, r).
+    For a readout row w that is zero on P,
+        w . x = w_Q x0 - sum_k c_k / (Delta_c + lam_k),
+    with c = (w_Q G V) * (V^-1 g).  Returns (lam, c).
     """
-    from scipy.linalg import schur  # here, so only an EIT solve loads scipy.linalg
-
     n = math.isqrt(L.shape[0])
     ryd = np.zeros(n)
     ryd[m:] = 1.0
@@ -367,9 +366,9 @@ def _shift_schur(L: np.ndarray, m: int, w: np.ndarray) -> tuple:
         M = (L[np.ix_(p, p)] - A_PQ @ G) / d[p, None]
     if not np.all(np.isfinite(M)):
         raise np.linalg.LinAlgError("Schur complement is not finite")
-    T, Z = schur(M, output="complex")
-    h = Z.conj().T @ (-(A_PQ @ x0) / d[p])
-    return T, h, (w[q] @ G) @ Z
+    lam, V = np.linalg.eig(M)
+    g = -(A_PQ @ x0) / d[p]
+    return lam, ((w[q] @ G) @ V) * np.linalg.solve(V, g)
 
 
 def eit_spectrum(scheme: LevelScheme, params: SimParams, sop: RfSop | float) -> EitSpectrum:
@@ -378,29 +377,21 @@ def eit_spectrum(scheme: LevelScheme, params: SimParams, sop: RfSop | float) -> 
     probe absorption, clipped at zero.
 
     The coupling detuning enters the Liouvillian only as a diagonal shift,
-    so one Schur form per SOP, of the Liouvillian at Delta_c = 0 reduced
-    to the shifted coherences, gives the steady state on the whole grid
-    (_shift_schur).  The probe readout is one linear function of the
-    steady state, and the reduction's x0 is the dark steady state, so
-    the response is -Im(r . y(Delta_c)) with the readout row r formed
-    once per SOP: one triangular back-substitution whose rows each act on
-    every grid point at once, and no density matrix is formed.  One
-    linear system is solved per SOP and none per detuning.  steady_state
-    and probe_absorption stay the dense reference that this is tested
-    against.
+    and the probe readout is one linear function of the steady state, so
+    the response is a sum of poles, -Im sum_k c_k / (Delta_c + lam_k),
+    from one reduction and one eigendecomposition per SOP (_poles).  No
+    linear system is solved per detuning and no density matrix is formed.
+    steady_state and probe_absorption stay the dense reference that this
+    is tested against.
     """
     if not isinstance(sop, RfSop):
         sop = sop_from_phi(float(sop))
     grid = np.asarray(params.coupling_detuning_grid, dtype=float)
     L = liouvillian(build_hamiltonian(scheme, params, sop, 0.0),
                     collapse_operators(scheme, params))
-    T, h, r = _shift_schur(L, scheme.offsets()["r1"], _probe_row(scheme, params.optics))
-    # (T + Delta_c) y = h for every grid point at once, last row first;
-    # Y holds one row per pole so that each row update reads contiguous rows
-    Y = np.empty((h.size, grid.size), dtype=complex)
-    for k in range(h.size - 1, -1, -1):
-        Y[k] = (h[k] - T[k, k + 1 :] @ Y[k + 1 :]) / (grid + T[k, k])
-    return EitSpectrum(sop.phi, grid, np.clip(-np.imag(r @ Y), 0.0, None))
+    lam, c = _poles(L, scheme.offsets()["r1"], _probe_row(scheme, params.optics))
+    response = -np.imag((1.0 / (grid[:, None] + lam)) @ c)
+    return EitSpectrum(sop.phi, grid, np.clip(response, 0.0, None))
 
 
 def eit_spectrogram(scheme: LevelScheme, params: SimParams, phi_grid) -> EitSpectrogram:

@@ -91,7 +91,6 @@ class PhaseCandidates:
     pruned: tuple
     ambiguity_class: str  # "fourfold" | "twofold" | "unique"
     ratio: float
-    ambiguous_prominence: bool = False
 
     def contains(self, phi: float, tol: float) -> bool:
         return any(_angle_dist(phi, c) <= tol for c in self.pruned)
@@ -323,7 +322,6 @@ def invert_five_half(
     central_prominence: float,
     central_threshold: float,
     config: str = "standard",
-    dead_band: float = 0.0,
     tol: float = 1e-6,
 ) -> PhaseCandidates:
     """Candidate phases for a (3/2, +-) ratio, pruned by the central-peak
@@ -336,12 +334,6 @@ def invert_five_half(
     R = min(max(R, R_FIVE_MIN), R_FIVE_MAX)
     principal = phase_from_ratio_exact(R)
     cands = _fourfold(principal)
-
-    if dead_band > 0 and abs(central_prominence - central_threshold) <= dead_band:
-        return PhaseCandidates(
-            principal, cands, cands, _ambiguity_name(len(cands)), R,
-            ambiguous_prominence=True,
-        )
 
     lo, hi = prominence_interval(config)
     inside = central_prominence > central_threshold

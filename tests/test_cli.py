@@ -690,8 +690,7 @@ def _fresh_interpreter(code):
 def test_cli_import_leaves_out_slow_scipy_modules():
     # scipy.signal (which pulls in scipy.stats), scipy.optimize and
     # scipy.linalg cost about 0.9 s per CLI call together; a fresh
-    # interpreter must not load them before an EIT spectrum needs the
-    # Schur form
+    # interpreter must not load them on import
     for module in ("rydpol", "rydpol.cli"):
         code = ("import %s, sys; print(' '.join(m for m in ('scipy.signal', "
                 "'scipy.optimize', 'scipy.stats', 'scipy.linalg') if m in sys.modules))"
@@ -699,14 +698,14 @@ def test_cli_import_leaves_out_slow_scipy_modules():
         assert _fresh_interpreter(code) == [], module
 
 
-def test_eit_spectrum_loads_scipy_linalg():
+def test_eit_command_loads_no_scipy(tmp_path):
+    # numpy is the only runtime dependency: a whole `rydpol eit` run, its
+    # spectra and its output included, imports no scipy module at all
     code = (
         "import sys\n"
-        "from rydpol.dressing import TransitionClass\n"
-        "from rydpol.eitsim import SimParams, eit_spectrum, scheme_for_class\n"
-        "before = 'scipy.linalg' in sys.modules\n"
-        "eit_spectrum(scheme_for_class(TransitionClass.of(0.5, 0)),\n"
-        "             SimParams(coupling_detuning_grid=(-1.0, 0.0, 1.0)), 0.3)\n"
-        "print(before, 'scipy.linalg' in sys.modules)\n"
+        "from rydpol.cli import main\n"
+        "rc = main(['eit', '--scenario', %r, '-o', %r])\n"
+        "print(rc, *(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        % (str(TestEitCommand().scenario(tmp_path)), str(tmp_path / "eit.csv"))
     )
-    assert _fresh_interpreter(code) == ["False", "True"]
+    assert _fresh_interpreter(code) == ["0"]

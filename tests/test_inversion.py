@@ -291,12 +291,6 @@ class TestFiveHalfKernel:
         assert out.contains(math.pi + 0.8, 1e-9)
         assert not out.contains(0.8, 1e-9)
 
-    def test_dead_band_keeps_fourfold(self):
-        R = envelope_ratio_exact(0.8)
-        out = invert_five_half(R, 0.52, 0.5, dead_band=0.05)
-        assert out.ambiguous_prominence
-        assert out.ambiguity_class == "fourfold"
-
     def test_rotated_interval(self):
         assert prominence_interval("rotated_circular") == (0.0, math.pi)
         with pytest.raises(ValueError):

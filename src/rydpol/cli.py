@@ -31,7 +31,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -158,7 +158,8 @@ def cmd_spectrogram(args) -> int:
         raise CliError("--envelopes are the 3/2^+- envelopes; class %s has none"
                        % cls.label())
     phi_grid = _phi_grid(args)
-    spectra = spectrogram(cls, phi_grid)
+    spectra = [replace(s, phi=_emit_angle(s.phi, args.degrees))
+               for s in spectrogram(cls, phi_grid)]
     if args.format == "json":
         doc = dressing.spectrogram_json_dict(spectra)
         doc["class"] = {"J2": cls.J.twice, "p": cls.p}
@@ -177,13 +178,15 @@ def cmd_spectrogram(args) -> int:
                 base + "_envelopes" + (ext or ".csv"),
                 phi_grid,
                 exact=(args.envelopes == "exact"),
+                degrees=args.degrees,
             )
     return EXIT_OK
 
 
 def cmd_envelopes(args) -> int:
     phi_grid = _phi_grid(args)
-    write_envelopes_csv(args.output, phi_grid, exact=(args.kind == "exact"))
+    write_envelopes_csv(args.output, phi_grid, exact=(args.kind == "exact"),
+                        degrees=args.degrees)
     return EXIT_OK
 
 

@@ -127,29 +127,11 @@ class EnvelopePair:
 @lru_cache(maxsize=None)
 def _channel_matrices(cls: TransitionClass) -> tuple:
     """phi-independent coefficient matrices (C_plus, C_minus) such that the
-    coupling matrix is C_plus*(cos(phi/2)+sin(phi/2)) + C_minus*(cos-sin).
+    coupling matrix is C_plus*(cos(phi/2)+sin(phi/2)) + C_minus*(cos-sin):
+    the oracle matrices of the pure e_{+1} and e_{-1} SOPs, class-scaled.
     """
-    J, ap = cls.J, abs(cls.p)
-    Jp = cls.j_prime
-    dim = cls.dim
-    pref = abs(reduced_coupling_strength(J, cls.p)) * _class_scale(cls)
-    out = {}
-    for q in (1, -1):
-        C = np.zeros((dim, dim))
-        for i in range(1, dim + 1):
-            for j in range(1, dim + 1):
-                total = 0.0
-                for a2, b2 in (
-                    (J.twice + 2 - 2 * j, -3 * J.twice - 2 * ap - 4 + 2 * i),
-                    (J.twice + 2 - 2 * i, -3 * J.twice - 2 * ap - 4 + 2 * j),
-                ):
-                    if abs(a2) <= J.twice and abs(b2) <= Jp.twice:
-                        total += wigner3j(
-                            J, HalfInt.of(1), Jp, HalfInt(a2), q, HalfInt(b2)
-                        )
-                C[i - 1, j - 1] = pref * total
-        out[q] = C
-    return out[1], out[-1]
+    return tuple(_class_scale(cls) * oracle_matrix(cls, sop).entries.real
+                 for sop in (RfSop(1.0, 0.0), RfSop(0.0, 1.0)))
 
 
 def coupling_matrix(cls: TransitionClass, phi: float) -> CouplingMatrix:
@@ -205,8 +187,9 @@ def oracle_matrix(cls: TransitionClass, sop: RfSop) -> CouplingMatrix:
     """Brute-force dressing matrix from Wigner-Eckart dipole elements and the
     SOP's spherical amplitudes (radial scale 1), Hermitized.
 
-    Built independently of the closed-form entry formula; its eigenvalue
-    multiset matches coupling_matrix up to one global positive scale.
+    coupling_matrix is built from it (the pure e_{+-1} SOPs, cached per
+    class), so its eigenvalue multiset matches coupling_matrix's up to the
+    one global positive scale oracle_scale.
     """
     block = rf_block(cls, sop.amp_minus, sop.amp_plus)
     n1 = cls.dim_r1
@@ -296,7 +279,10 @@ def spectrogram_json_dict(spectra: list) -> dict:
     }
 
 
-def write_envelopes_csv(path, phi_grid, exact: bool = True) -> None:
+def write_envelopes_csv(path, phi_grid, exact: bool = True,
+                        degrees: bool = False) -> None:
+    """Envelope table over a radian phi grid; the phi column is written in
+    degrees when `degrees` is set."""
     fn = envelopes_exact if exact else envelopes_approx
     kind = "exact" if exact else "approx"
     with open(path, "w") as fh:
@@ -305,5 +291,6 @@ def write_envelopes_csv(path, phi_grid, exact: bool = True) -> None:
             e = fn(float(phi))
             fh.write(
                 "%.9g,%.9g,%.9g,%.9g,%.9g,%s\n"
-                % (phi, e.outer_plus, e.outer_minus, e.inner_plus, e.inner_minus, kind)
+                % (math.degrees(phi) if degrees else phi,
+                   e.outer_plus, e.outer_minus, e.inner_plus, e.inner_minus, kind)
             )

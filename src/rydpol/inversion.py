@@ -28,8 +28,10 @@ import numpy as np
 from .dressing import TransitionClass, eigen_spectrum, envelope_magnitudes, envelopes_exact
 
 _TWO_PI = 2.0 * math.pi
-# candidates closer than this (radians) are one candidate
-_ANGLE_TOL = 1e-9
+# candidates closer than this (radians) are one candidate, and a candidate
+# this close to a prominence-interval edge counts as inside it; near the
+# circular SOPs the 3/2^+- kernel resolves phi only to about sqrt(ulp)
+_ANGLE_TOL = 1e-7
 R_FIVE_MIN = math.sqrt(1.5)
 R_FIVE_MAX = math.sqrt(10.0)
 
@@ -337,11 +339,10 @@ def invert_five_half(
 
     lo, hi = prominence_interval(config)
     inside = central_prominence > central_threshold
-    edge = 1e-9
     pruned = tuple(
         c
         for c in cands
-        if (lo - edge <= c <= hi + edge) == inside
+        if (lo - _ANGLE_TOL <= c <= hi + _ANGLE_TOL) == inside
     )
     if not pruned:  # prominence contradicts every candidate; keep all
         pruned = cands

@@ -158,6 +158,13 @@ class OpticalConfig:
     name: str = "custom"
 
     def __post_init__(self):
+        for field in ("propagation_probe", "propagation_coupling", "pol_probe", "pol_coupling"):
+            v = np.asarray(getattr(self, field), dtype=complex)
+            norm = float(np.linalg.norm(v)) if v.shape == (3,) else 0.0
+            if not (math.isfinite(norm) and norm > 0.0):
+                raise ValueError("%s must be a finite non-zero 3-vector" % field)
+            if field.startswith("pol") and abs(norm - 1.0) > 1e-6:
+                raise ValueError("%s must be a unit Jones vector, got norm %g" % (field, norm))
         kp = _unit(self.propagation_probe)
         kc = _unit(self.propagation_coupling)
         if np.linalg.norm(kp + kc) > 1e-6:

@@ -1,13 +1,18 @@
 """Independent reference routes that only the tests call.
 
 Per-element dipole factors (the closed-form route and the generic 3-j/6-j
-route) cross-check dressing's Wigner-Eckart block builder, and the paper's
-quadratic approximate-envelope inversion brackets the exact one.
+route) and the closed-form 3-j entry formula of the coupling matrix
+cross-check dressing's one Wigner-Eckart block builder, through which
+oracle_matrix and coupling_matrix are built.  The paper's quadratic
+approximate-envelope inversion brackets the exact one.
 """
 
 import math
 
+import numpy as np
+
 from rydpol.angular import HalfInt, reduced_coupling_strength, wigner3j, wigner6j
+from rydpol.dressing import _class_scale
 
 
 def _jprime(J: HalfInt, p: int) -> HalfInt:
@@ -65,6 +70,31 @@ def dipole_angular_factor_generic(J, p: int, mJ, mJp, q) -> float:
     phase = -1 if (exp2 // 2) % 2 else 1
     reduced = math.sqrt((J.twice + 1) * (Jp.twice + 1) * Lp)
     return phase * threej * reduced * sixj
+
+
+def closed_form_coupling_matrix(cls, phi: float) -> np.ndarray:
+    """Real symmetric coupling matrix of a transition class at phase angle
+    phi from the closed-form 3-j index formula: entry (i, j), 1-based in
+    the r1-then-r2 basis, sums the 3-j symbols whose m labels the indices
+    fix, for each RF channel q = +-1.  Same scale as coupling_matrix; its
+    basis signs may differ, its eigenvalues do not.
+    """
+    J, ap, Jp, dim = cls.J, abs(cls.p), cls.j_prime, cls.dim
+    pref = abs(reduced_coupling_strength(J, cls.p)) * _class_scale(cls)
+    weight = {1: math.cos(phi / 2.0) + math.sin(phi / 2.0),
+              -1: math.cos(phi / 2.0) - math.sin(phi / 2.0)}
+    C = np.zeros((dim, dim))
+    for q, w in weight.items():
+        for i in range(1, dim + 1):
+            for j in range(1, dim + 1):
+                for a2, b2 in (
+                    (J.twice + 2 - 2 * j, -3 * J.twice - 2 * ap - 4 + 2 * i),
+                    (J.twice + 2 - 2 * i, -3 * J.twice - 2 * ap - 4 + 2 * j),
+                ):
+                    if abs(a2) <= J.twice and abs(b2) <= Jp.twice:
+                        C[i - 1, j - 1] += w * pref * wigner3j(
+                            J, HalfInt.of(1), Jp, HalfInt(a2), q, HalfInt(b2))
+    return C
 
 
 def phase_from_ratio_approx(R: float) -> float:

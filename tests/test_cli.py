@@ -79,6 +79,45 @@ class TestSpectrogramCommand:
         assert main(argv + ["-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_degrees_emits_degrees(self, tmp_path, fmt):
+        # the same grid given in degrees and in radians: only phi differs
+        grid = ["--phi-start", "-30", "--phi-stop", "200", "--phi-steps", "7"]
+        rad_grid = ["--phi-start", repr(math.radians(-30)),
+                    "--phi-stop", repr(math.radians(200)), "--phi-steps", "7"]
+        deg, rad = tmp_path / ("deg." + fmt), tmp_path / ("rad." + fmt)
+        argv = ["spectrogram", "--J2", "3", "--p", "1", "--format", fmt]
+        if fmt == "csv":
+            argv += ["--envelopes", "exact"]
+        assert main(argv + grid + ["--degrees", "-o", str(deg)]) == 0
+        assert main(argv + rad_grid + ["-o", str(rad)]) == 0
+        if fmt == "json":
+            d, r = json.loads(deg.read_text()), json.loads(rad.read_text())
+            assert d["phi"] == [math.degrees(v) for v in r["phi"]]
+            assert d["phi"][0] == pytest.approx(-30) and d["phi"][-1] == pytest.approx(200)
+            del d["phi"], r["phi"]
+            assert d == r
+            return
+        phis = np.linspace(math.radians(-30), math.radians(200), 7)
+        for a, b in ((deg, rad), (tmp_path / "deg_envelopes.csv",
+                                  tmp_path / "rad_envelopes.csv")):
+            rows_d = [line.split(",") for line in a.read_text().splitlines()[1:]]
+            rows_r = [line.split(",") for line in b.read_text().splitlines()[1:]]
+            assert [r[1:] for r in rows_d] == [r[1:] for r in rows_r]
+            per_phi = len(rows_d) // len(phis)
+            assert [r[0] for r in rows_d] == [
+                "%.9g" % math.degrees(v) for v in np.repeat(phis, per_phi)]
+
+    @pytest.mark.parametrize("kind", ["exact", "approx"])
+    def test_envelopes_side_file_matches_envelopes_command(self, tmp_path, kind):
+        grid = ["--phi-steps", "37", "--phi-stop", "3.5"]
+        assert main(["spectrogram", "--J2", "3", "--p", "-1", "--envelopes", kind,
+                     "-o", str(tmp_path / "spg.csv")] + grid) == 0
+        assert main(["envelopes", "--kind", kind, "-o", str(tmp_path / "env.csv")]
+                    + grid) == 0
+        side = tmp_path / "spg_envelopes.csv"
+        assert side.read_bytes() == (tmp_path / "env.csv").read_bytes()
+
     def test_invalid_class(self, tmp_path):
         rc = main([
             "spectrogram", "--J2", "0", "--p", "0",
@@ -122,6 +161,17 @@ class TestEnvelopesCommand:
         lines = out.read_text().splitlines()
         assert len(lines) == 12
         assert lines[1].endswith(",approx")
+
+    def test_degrees_emits_degrees(self, tmp_path):
+        deg, rad = tmp_path / "deg.csv", tmp_path / "rad.csv"
+        assert main(["envelopes", "--phi-stop", "90", "--phi-steps", "3", "--degrees",
+                     "-o", str(deg)]) == 0
+        assert main(["envelopes", "--phi-stop", repr(math.radians(90)),
+                     "--phi-steps", "3", "-o", str(rad)]) == 0
+        rows_d = [line.split(",", 1) for line in deg.read_text().splitlines()[1:]]
+        rows_r = [line.split(",", 1) for line in rad.read_text().splitlines()[1:]]
+        assert [r[0] for r in rows_d] == ["0", "45", "90"]
+        assert [r[1] for r in rows_d] == [r[1] for r in rows_r]
 
 
 class TestEitCommand:
@@ -269,6 +319,33 @@ class TestEitCommand:
                                           "coupling_target": "r1"})
         assert main(["eit", "--scenario", str(path), "-o", str(out)]) == 0
         assert out.exists()
+
+    STANDARD_OPTICS = {"propagation_probe": [0, 1, 0], "propagation_coupling": [0, -1, 0],
+                       "pol_probe": [1, 0, 0], "pol_coupling": [1, 0, 0]}
+
+    def test_optics_object_matches_preset(self, tmp_path):
+        preset, custom = tmp_path / "preset.csv", tmp_path / "custom.csv"
+        assert main(["eit", "--scenario", str(self.scenario(tmp_path, optics="standard")),
+                     "-o", str(preset)]) == 0
+        path = self.scenario(tmp_path, optics=self.STANDARD_OPTICS)
+        assert main(["eit", "--scenario", str(path), "-o", str(custom)]) == 0
+        assert custom.read_bytes() == preset.read_bytes()
+
+    @pytest.mark.parametrize("field,value", [
+        ("pol_probe", [0, 0, 0]),
+        ("pol_probe", [math.nan, 0, 0]),
+        ("propagation_probe", [0, math.nan, 0]),
+        ("pol_coupling", [2, 0, 0]),
+    ], ids=["zero_pol_probe", "nan_pol_probe", "nan_propagation_probe",
+            "pol_coupling_norm_2"])
+    def test_bad_optics_vector_invalid_input(self, tmp_path, capsys, field, value):
+        out = tmp_path / "x.csv"
+        optics = dict(self.STANDARD_OPTICS, **{field: value})
+        rc = main(["eit", "--scenario", str(self.scenario(tmp_path, optics=optics)),
+                   "-o", str(out)])
+        assert rc == 3
+        assert "optics: %s must be" % field in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("params", [{"omega_coupling": 1e160}, {"omega_probe": 1e-200}],
                              ids=["omega_coupling_1e160", "omega_probe_1e-200"])
@@ -709,3 +786,20 @@ def test_eit_command_loads_no_scipy(tmp_path):
         % (str(TestEitCommand().scenario(tmp_path)), str(tmp_path / "eit.csv"))
     )
     assert _fresh_interpreter(code) == ["0"]
+
+
+def test_module_exit_status_reaches_shell(tmp_path):
+    # `python -m rydpol.cli` hands main's exit code to the shell
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rydpol.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    overflow = TestEitCommand().scenario(tmp_path, params={"omega_coupling": 1e160})
+    cases = [
+        (["--version"], 0),
+        (["spectrogram", "--bogus"], 2),
+        (["invert", "--input", str(tmp_path / "missing.json")], 3),
+        (["eit", "--scenario", str(overflow), "-o", str(tmp_path / "x.csv")], 4),
+    ]
+    for argv, code in cases:
+        done = subprocess.run([sys.executable, "-m", "rydpol.cli"] + argv, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == code, (argv, done.stderr)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rydpol import dressing
 from rydpol.dressing import (
     EXPERIMENTAL_CLASSES,
     TransitionClass,
@@ -15,13 +16,12 @@ from rydpol.dressing import (
     envelopes_exact,
     group_degeneracies,
     oracle_matrix,
-    oracle_scale,
     spectrogram,
     spectrogram_json_dict,
     write_envelopes_csv,
     write_spectrogram_csv,
 )
-from oracles import dipole_angular_factor
+from oracles import closed_form_coupling_matrix, dipole_angular_factor
 from rydpol.angular import HalfInt
 from rydpol.sop import sop_from_phi
 
@@ -86,15 +86,45 @@ class TestCouplingMatrix:
             ev = np.sort(np.linalg.eigvalsh(coupling_matrix(cls, 1.1).entries))
             assert np.allclose(ev, -ev[::-1], atol=1e-12)
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        twoJ=st.sampled_from([1, 3, 5, 7]),
+        p=st.sampled_from([-1, 0, 1]),
+        phi=st.floats(0.0, 2 * math.pi),
+    )
+    def test_chiral_and_matches_closed_form(self, twoJ, p, phi):
+        cls = TransitionClass(HalfInt(twoJ), p)
+        n1 = cls.dim_r1
+        m = coupling_matrix(cls, phi).entries
+        assert np.isrealobj(m)
+        assert np.array_equal(m, m.T)
+        assert not m[:n1, :n1].any() and not m[n1:, n1:].any()
+        ev = np.linalg.eigvalsh(m)
+        assert np.max(np.abs(ev + ev[::-1])) < 1e-12
+        ref = np.linalg.eigvalsh(closed_form_coupling_matrix(cls, phi))
+        assert np.max(np.abs(ev - ref)) < 1e-12
+
+    def test_built_without_wigner3j(self, monkeypatch):
+        # once the unit dipole blocks are cached, the coupling matrix is
+        # assembled from them alone: no second 3-j route
+        oracle_matrix(FIVE_HALF, sop_from_phi(0.3))
+
+        def no_3j(*args):
+            raise AssertionError("wigner3j called")
+
+        monkeypatch.setattr(dressing, "wigner3j", no_3j)
+        dressing._channel_matrices.cache_clear()
+        assert coupling_matrix(FIVE_HALF, 0.3).entries.shape == (10, 10)
+
 
 class TestOracle:
     @pytest.mark.parametrize("cls", EXPERIMENTAL_CLASSES)
     def test_eigenvalue_multisets_match(self, cls):
-        s = oracle_scale(cls)
+        # the Wigner-Eckart route against the closed-form 3-j entry formula
         for phi in np.linspace(0.0, 2 * math.pi, 9):
             a = np.sort(np.linalg.eigvalsh(coupling_matrix(cls, phi).entries))
-            b = np.sort(np.linalg.eigvalsh(oracle_matrix(cls, sop_from_phi(phi)).entries))
-            assert np.max(np.abs(a - s * b)) < 1e-12
+            b = np.sort(np.linalg.eigvalsh(closed_form_coupling_matrix(cls, phi)))
+            assert np.max(np.abs(a - b)) < 1e-12
 
     def test_oracle_hermitian(self):
         m = oracle_matrix(FIVE_HALF, sop_from_phi(0.9)).entries

@@ -270,6 +270,13 @@ class TestFiveHalfKernel:
         assert phase_from_ratio_exact(math.sqrt(1.5)) == 0.0
         assert phase_from_ratio_exact(math.sqrt(10.0)) == pytest.approx(math.pi / 2)
 
+    def test_circular_ratio_gives_two_candidates(self):
+        # R a few ulp below sqrt(10) is the circular SOP: {pi/2, 3pi/2}
+        R = R_FIVE_MAX
+        for _ in range(17):
+            assert len(invert_five_half(R, 1.0, 0.5).candidates) == 2, R
+            R = math.nextafter(R, 0.0)
+
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
             invert_five_half(0.5, 0.0, 0.5)
@@ -339,6 +346,15 @@ class TestRoundTrip:
             )
             assert rep.recovered
             assert len(rep.combined) == 1, phi
+
+    @pytest.mark.parametrize("phi", [k * math.pi / 2 for k in range(5)] + [
+        k * math.pi / 2 + d for k in range(4) for d in (-3e-8, -1e-8, 1e-8, 3e-8)])
+    def test_five_half_cardinal_combined_unique(self, phi):
+        # near the circular SOPs the kernel resolves phi only to about
+        # sqrt(ulp); the candidates must still merge into one angle
+        rep = round_trip(FIVE_HALF, phi, configs=("standard", "rotated_circular"))
+        assert rep.recovered
+        assert len(rep.combined) == 1, rep.combined
 
     def test_unsupported_class(self):
         with pytest.raises(NotInvertible):

@@ -108,6 +108,27 @@ class TestOpticalConfig:
         with pytest.raises(ValueError):
             OpticalConfig((0, 1, 0), (0, -1, 0), (0, 1, 0), (1, 0, 0))
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("pol_probe", (0, 0, 0), "finite non-zero"),
+        ("pol_probe", (math.nan, 0, 0), "finite non-zero"),
+        ("pol_coupling", (1, math.inf, 0), "finite non-zero"),
+        ("pol_coupling", (1, 0), "finite non-zero"),
+        ("propagation_probe", (0, math.nan, 0), "finite non-zero"),
+        ("propagation_coupling", (0, 0, 0), "finite non-zero"),
+        ("pol_coupling", (2, 0, 0), "unit Jones vector"),
+        ("pol_probe", (1 + 2e-6, 0, 0), "unit Jones vector"),
+    ], ids=["zero_pol", "nan_pol", "inf_pol", "short_pol", "nan_k", "zero_k",
+            "pol_norm_2", "pol_norm_off"])
+    def test_bad_vector_rejected(self, field, value, message):
+        vectors = dict(propagation_probe=(0, 1, 0), propagation_coupling=(0, -1, 0),
+                       pol_probe=(1, 0, 0), pol_coupling=(1, 0, 0))
+        vectors[field] = value
+        with pytest.raises(ValueError, match="%s must be a %s" % (field, message)):
+            OpticalConfig(**vectors)
+
+    def test_near_unit_jones_vector_accepted(self):
+        OpticalConfig((0, 1, 0), (0, -1, 0), (1 + 5e-7, 0, 0), (1, 0, 0))
+
     def test_rotated_circular_is_transverse(self):
         cfg = rotated_circular_optics()
         k = np.array(cfg.propagation_probe, dtype=float)

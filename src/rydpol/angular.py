@@ -12,10 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
 
 
-@total_ordering
 @dataclass(frozen=True)
 class HalfInt:
     """A half-integer j stored as the doubled integer 2j."""
@@ -38,25 +36,11 @@ class HalfInt:
             raise ValueError("%r is not a half-integer" % (value,))
         return cls(int(round(doubled)))
 
-    def __float__(self) -> float:
-        return self.twice / 2.0
-
     def __add__(self, other):
         return HalfInt(self.twice + HalfInt.of(other).twice)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return HalfInt(self.twice - HalfInt.of(other).twice)
-
-    def __rsub__(self, other):
-        return HalfInt(HalfInt.of(other).twice - self.twice)
-
     def __neg__(self):
         return HalfInt(-self.twice)
-
-    def __abs__(self):
-        return HalfInt(abs(self.twice))
 
     def __eq__(self, other):
         try:
@@ -66,9 +50,6 @@ class HalfInt:
 
     def __hash__(self):
         return hash(("HalfInt", self.twice))
-
-    def __lt__(self, other):
-        return self.twice < HalfInt.of(other).twice
 
     def __repr__(self):
         if self.twice % 2 == 0:

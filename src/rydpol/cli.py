@@ -194,9 +194,9 @@ def _read_json(path, kind):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except FileNotFoundError:
-        raise CliError("%s file not found: %s" % (kind, path))
-    except json.JSONDecodeError as exc:
+    except OSError as exc:  # not found, a directory, unreadable
+        raise CliError("cannot read %s file %s: %s" % (kind, path, exc.strerror))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CliError("invalid JSON in %s: %s" % (path, exc))
 
 
@@ -433,14 +433,17 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         _check_numbers(args)
         code = globals()["cmd_" + args.command](args)
+        if getattr(args, "output", None):
+            _write_manifest(args)
     except SystemExit as exc:  # from argparse: usage error, --help or --version
         return EXIT_USAGE if exc.code not in (0, None) else 0
     except (CliError, InversionError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return getattr(exc, "code", EXIT_INVALID if isinstance(exc, NotInvertible)
                        else EXIT_NUMERICAL)
-    if getattr(args, "output", None):
-        _write_manifest(args)
+    except OSError as exc:  # _read_json turns read errors into CliError
+        sys.stderr.write("error: cannot write %s: %s\n" % (exc.filename, exc.strerror))
+        return EXIT_INVALID
     return code
 
 

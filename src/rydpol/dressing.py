@@ -54,18 +54,6 @@ class TransitionClass:
     def dim_r1(self) -> int:
         return self.J.twice + 1
 
-    @property
-    def dim_r2(self) -> int:
-        return self.j_prime.twice + 1
-
-    def basis(self) -> list:
-        out = [("r1", HalfInt(m2)) for m2 in range(-self.J.twice, self.J.twice + 1, 2)]
-        out += [
-            ("r2", HalfInt(m2))
-            for m2 in range(-self.j_prime.twice, self.j_prime.twice + 1, 2)
-        ]
-        return out
-
     def label(self) -> str:
         num = "%d/2" % self.J.twice if self.J.twice % 2 else "%d" % (self.J.twice // 2)
         sign = {0: "0", 1: "+", -1: "-"}[self.p]
@@ -226,12 +214,6 @@ def eigen_spectrum(
         raise ValueError("degeneracy_tol must be positive")
     ev = np.sort(np.linalg.eigvalsh(coupling_matrix(cls, phi).entries))
     return EigenSpectrum(phi, ev, group_degeneracies(ev, degeneracy_tol))
-
-
-def closed_form_eigenvalues_half(phi: float) -> np.ndarray:
-    """The four (1/2, 0) eigenvalues Re exp{i[phi/2 + (2n-1)pi/4]}, n=1..4."""
-    n = np.arange(1, 5)
-    return np.cos(phi / 2.0 + (2 * n - 1) * np.pi / 4.0)
 
 
 def spectrogram(

@@ -492,12 +492,13 @@ def scenario_from_dict(cfg: dict) -> tuple:
         errors.append("optics: %s" % exc)
         optics = standard_optics()
 
-    p = dict(cfg.get("params", {}))
-    grid_cfg = p.pop("coupling_detuning_grid", None)
     try:
-        kwargs = {k: float(v) for k, v in p.items()}
-        if grid_cfg is not None:
-            kwargs["coupling_detuning_grid"] = tuple(_grid(grid_cfg))
+        p = cfg.get("params", {})
+        if not isinstance(p, dict):
+            raise ValueError("must be a JSON object")
+        kwargs = {k: float(v) for k, v in p.items() if k != "coupling_detuning_grid"}
+        if p.get("coupling_detuning_grid") is not None:
+            kwargs["coupling_detuning_grid"] = tuple(_grid(p["coupling_detuning_grid"]))
         params = SimParams(optics=optics, **kwargs)
     except (KeyError, ValueError, TypeError) as exc:
         errors.append("params: %s" % exc)

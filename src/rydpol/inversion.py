@@ -94,9 +94,6 @@ class PhaseCandidates:
     ambiguity_class: str  # "fourfold" | "twofold" | "unique"
     ratio: float
 
-    def contains(self, phi: float, tol: float) -> bool:
-        return any(_angle_dist(phi, c) <= tol for c in self.pruned)
-
 
 def _angle_dist(a: float, b: float) -> float:
     d = abs((a - b) % _TWO_PI)
@@ -245,20 +242,24 @@ def invert_half(R: float, tol: float = 1e-9) -> PhaseCandidates:
     )
 
 
+def _distinct(angles, tol: float) -> tuple:
+    """Sorted angles less any within tol of the last one kept, across 2pi too."""
+    out = []
+    for c in sorted(angles):
+        if not out or _angle_dist(c, out[-1]) > tol:
+            out.append(c)
+    if len(out) > 1 and _angle_dist(out[0], out[-1]) <= tol:
+        out.pop()
+    return tuple(out)
+
+
 def _fourfold(principal: float) -> tuple:
-    raw = [
+    return _distinct([
         principal % _TWO_PI,
         (math.pi - principal) % _TWO_PI,
         (math.pi + principal) % _TWO_PI,
         (_TWO_PI - principal) % _TWO_PI,
-    ]
-    out = []
-    for c in sorted(raw):
-        if not out or _angle_dist(c, out[-1]) > _ANGLE_TOL:
-            out.append(c)
-    if len(out) > 1 and _angle_dist(out[0], out[-1]) <= _ANGLE_TOL:
-        out.pop()
-    return tuple(out)
+    ], _ANGLE_TOL)
 
 
 def _ambiguity_name(n: int) -> str:
@@ -374,13 +375,15 @@ def invert_peaks(cls: TransitionClass, peaks: PeakSet, central_prominence: float
 
 def combine_candidates(first: PhaseCandidates, second: PhaseCandidates,
                        angle_tol: float = 1e-6) -> tuple:
-    """Intersection of two pruned candidate sets (e.g. the two optics runs)."""
+    """Intersection of two pruned candidate sets (e.g. the two optics runs);
+    near phi = k pi/2 one candidate can match two, so matches within
+    angle_tol of each other are one angle."""
     out = []
     for a in first.pruned:
         for b in second.pruned:
             if _angle_dist(a, b) <= angle_tol:
                 out.append((a + b) / 2.0 if abs(a - b) < math.pi else a)
-    return tuple(sorted(set(out)))
+    return _distinct(out, angle_tol)
 
 
 def peakset_from_eigenvalues(cls: TransitionClass, eigenvalues) -> PeakSet:
@@ -432,8 +435,8 @@ def round_trip(
 
     For the (3/2, +) class the central-peak prominence is modeled ideally:
     prominent exactly when phi_true falls in the configuration's
-    prominence interval.  (EIT-level round trips with simulated line
-    shapes live in the eitsim demos/tests.)
+    prominence interval, widened by the pruning's _ANGLE_TOL.  (EIT-level
+    round trips with simulated line shapes live in the eitsim demos/tests.)
     """
     phi_true = phi_true % _TWO_PI
     free = config_free(cls)  # NotInvertible before any peak error
@@ -444,7 +447,7 @@ def round_trip(
         per_config = {}
         for config in configs:
             lo, hi = prominence_interval(config)
-            cp = 1.0 if lo <= phi_true <= hi else 0.0
+            cp = 1.0 if lo - _ANGLE_TOL <= phi_true <= hi + _ANGLE_TOL else 0.0
             per_config[config] = invert_peaks(cls, peaks, cp, 0.5, config, 1e-6)
     results = list(per_config.values())
     combined = results[0].pruned

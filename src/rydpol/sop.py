@@ -39,9 +39,6 @@ class StokesVector:
     s2: float
     s3: float
 
-    def degree_of_polarization(self) -> float:
-        return math.sqrt(self.s1**2 + self.s2**2 + self.s3**2)
-
     def to_json_dict(self) -> dict:
         return {"s1": self.s1, "s2": self.s2, "s3": self.s3}
 
@@ -63,13 +60,6 @@ class RfSop:
         norm = abs(self.amp_plus) ** 2 + abs(self.amp_minus) ** 2
         if abs(norm - 1.0) > 1e-9:
             raise ValueError("SOP amplitudes must be unit-norm, got %g" % norm)
-
-    @classmethod
-    def from_amplitudes(cls, amp_plus: complex, amp_minus: complex) -> "RfSop":
-        norm = math.sqrt(abs(amp_plus) ** 2 + abs(amp_minus) ** 2)
-        if norm == 0.0:
-            raise ValueError("zero-norm SOP")
-        return cls(amp_plus / norm, amp_minus / norm)
 
     def lab_spherical(self) -> tuple[complex, complex]:
         """(c_minus, c_plus) spherical components in the lab frame."""
@@ -97,13 +87,6 @@ def sop_from_phi(phi: float) -> RfSop:
     phi = phi % (2.0 * math.pi)
     c, s = math.cos(phi / 2.0), math.sin(phi / 2.0)
     return RfSop((c + s) / _SQRT2, (c - s) / _SQRT2, phi=phi)
-
-
-def stokes_from_phi(phi: float) -> StokesVector:
-    """Stokes vector of the meridian SOP; s2 = 0 for all phi."""
-    if not math.isfinite(phi):
-        raise ValueError("phi must be finite")
-    return StokesVector(-math.cos(phi), 0.0, math.sin(phi))
 
 
 def _unit(v) -> np.ndarray:

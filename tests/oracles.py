@@ -1,10 +1,12 @@
 """Independent reference routes that only the tests call.
 
 Per-element dipole factors (the closed-form route and the generic 3-j/6-j
-route) and the closed-form 3-j entry formula of the coupling matrix
-cross-check dressing's one Wigner-Eckart block builder, through which
-oracle_matrix and coupling_matrix are built.  The paper's quadratic
-approximate-envelope inversion brackets the exact one.
+route), labelled by the substates of basis(cls), and the closed-form 3-j
+entry formula of the coupling matrix cross-check dressing's one
+Wigner-Eckart block builder, through which oracle_matrix and
+coupling_matrix are built.  The (1/2, 0) closed-form eigenvalues check
+the dressed spectrum, stokes_from_phi checks RfSop.stokes, and the paper's
+quadratic approximate-envelope inversion brackets the exact one.
 """
 
 import math
@@ -13,10 +15,19 @@ import numpy as np
 
 from rydpol.angular import HalfInt, reduced_coupling_strength, wigner3j, wigner6j
 from rydpol.dressing import _class_scale
+from rydpol.sop import StokesVector
 
 
 def _jprime(J: HalfInt, p: int) -> HalfInt:
     return J + (1 if p != 0 else 0)
+
+
+def basis(cls) -> list:
+    """(manifold, m) labels of a transition class's basis: r1 substates
+    m = -J..J ascending, then r2 substates m = -J'..J' ascending."""
+    out = [("r1", HalfInt(m2)) for m2 in range(-cls.J.twice, cls.J.twice + 1, 2)]
+    out += [("r2", HalfInt(m2)) for m2 in range(-cls.j_prime.twice, cls.j_prime.twice + 1, 2)]
+    return out
 
 
 def orbital_angular_momentum(J, p: int) -> int:
@@ -95,6 +106,19 @@ def closed_form_coupling_matrix(cls, phi: float) -> np.ndarray:
                         C[i - 1, j - 1] += w * pref * wigner3j(
                             J, HalfInt.of(1), Jp, HalfInt(a2), q, HalfInt(b2))
     return C
+
+
+def closed_form_eigenvalues_half(phi: float) -> np.ndarray:
+    """The four (1/2, 0) eigenvalues Re exp{i[phi/2 + (2n-1)pi/4]}, n=1..4."""
+    n = np.arange(1, 5)
+    return np.cos(phi / 2.0 + (2 * n - 1) * np.pi / 4.0)
+
+
+def stokes_from_phi(phi: float) -> StokesVector:
+    """Stokes vector of the meridian SOP; s2 = 0 for all phi."""
+    if not math.isfinite(phi):
+        raise ValueError("phi must be finite")
+    return StokesVector(-math.cos(phi), 0.0, math.sin(phi))
 
 
 def phase_from_ratio_approx(R: float) -> float:

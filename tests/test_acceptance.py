@@ -16,14 +16,13 @@ from rydpol.angular import HalfInt
 from rydpol.dressing import (
     EXPERIMENTAL_CLASSES,
     TransitionClass,
-    closed_form_eigenvalues_half,
     coupling_matrix,
     eigen_spectrum,
     envelopes_approx,
     envelopes_exact,
     oracle_matrix,
 )
-from oracles import closed_form_coupling_matrix
+from oracles import closed_form_coupling_matrix, closed_form_eigenvalues_half
 from rydpol.eitsim import (
     SimParams,
     build_hamiltonian,

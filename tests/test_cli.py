@@ -270,6 +270,9 @@ class TestEitCommand:
         {"gamma_r": 0},
         {"gamma_i": 0},
         {"omega_probe": 0},
+        [1, 2],
+        None,
+        "x",
     ])
     def test_bad_params_invalid_input(self, tmp_path, capsys, params):
         out = tmp_path / "x.csv"
@@ -775,6 +778,13 @@ def test_cli_import_leaves_out_slow_scipy_modules():
         assert _fresh_interpreter(code) == [], module
 
 
+def test_package_import_defines_only_version():
+    # each name has one home, its module: `import rydpol` loads none of them
+    code = ("import rydpol, sys; print('numpy' in sys.modules, '__version__' in vars(rydpol), "
+            "*sorted(n for n in vars(rydpol) if not n.startswith('_')))")
+    assert _fresh_interpreter(code) == ["False", "True"]
+
+
 def test_eit_command_loads_no_scipy(tmp_path):
     # numpy is the only runtime dependency: a whole `rydpol eit` run, its
     # spectra and its output included, imports no scipy module at all
@@ -793,13 +803,28 @@ def test_module_exit_status_reaches_shell(tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(rydpol.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     overflow = TestEitCommand().scenario(tmp_path, params={"omega_coupling": 1e160})
+    (tmp_path / "ok").mkdir()
+    scenario = TestEitCommand().scenario(tmp_path / "ok")
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b'{"class": "\xe9"}')
+    nowhere = str(tmp_path / "missing" / "x.csv")
+    class_flags = ["--J2", "1", "--p", "0", "--phi-steps", "3"]
     cases = [
-        (["--version"], 0),
-        (["spectrogram", "--bogus"], 2),
-        (["invert", "--input", str(tmp_path / "missing.json")], 3),
-        (["eit", "--scenario", str(overflow), "-o", str(tmp_path / "x.csv")], 4),
+        (["--version"], 0, None),
+        (["spectrogram", "--bogus"], 2, None),
+        (["invert", "--input", str(tmp_path / "missing.json")], 3, "missing.json"),
+        (["eit", "--scenario", str(overflow), "-o", str(tmp_path / "x.csv")], 4, None),
+        # file-system errors are invalid input naming the path, not tracebacks
+        (["invert", "--input", str(tmp_path)], 3, str(tmp_path)),
+        (["eit", "--scenario", str(tmp_path), "-o", str(tmp_path / "y.csv")], 3, str(tmp_path)),
+        (["invert", "--input", str(not_utf8)], 3, str(not_utf8)),
+        (["spectrogram", *class_flags, "-o", nowhere], 3, nowhere),
+        (["envelopes", "--phi-steps", "3", "-o", nowhere], 3, nowhere),
+        (["eit", "--scenario", str(scenario), "-o", nowhere], 3, nowhere),
+        (["roundtrip", *class_flags, "-o", nowhere], 3, nowhere),
     ]
-    for argv, code in cases:
+    for argv, code, named in cases:
         done = subprocess.run([sys.executable, "-m", "rydpol.cli"] + argv, env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == code, (argv, done.stderr)
+        assert named is None or named in done.stderr, (argv, done.stderr)

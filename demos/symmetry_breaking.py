@@ -71,7 +71,7 @@ def main():
                              thr_std, config="standard", tol=0.3)
     second = invert_five_half(R, central_height(scheme, p_rot, phi_true),
                               thr_rot, config="rotated_circular", tol=0.3)
-    combined = combine_candidates(first, second, angle_tol=0.08)
+    combined = combine_candidates(first.pruned, second.pruned, angle_tol=0.08)
     print()
     print("true phi  : %.3f rad" % phi_true)
     print("standard  : %s" % ", ".join("%.3f" % c for c in first.pruned))

@@ -73,12 +73,6 @@ def integral(value, name: str) -> int:
     return int(number)
 
 
-def _fact(n: int) -> int:
-    if n < 0:
-        raise ValueError("negative factorial argument")
-    return math.factorial(n)
-
-
 def _triangle_ok(a2: int, b2: int, c2: int) -> bool:
     # doubled-integer triangle condition with parity of the triad sum
     if (a2 + b2 + c2) % 2 != 0:
@@ -89,10 +83,10 @@ def _triangle_ok(a2: int, b2: int, c2: int) -> bool:
 def _delta_sq(a2: int, b2: int, c2: int) -> Fraction:
     """Squared triangle coefficient, exact."""
     return Fraction(
-        _fact((a2 + b2 - c2) // 2)
-        * _fact((a2 - b2 + c2) // 2)
-        * _fact((-a2 + b2 + c2) // 2),
-        _fact((a2 + b2 + c2) // 2 + 1),
+        math.factorial((a2 + b2 - c2) // 2)
+        * math.factorial((a2 - b2 + c2) // 2)
+        * math.factorial((-a2 + b2 + c2) // 2),
+        math.factorial((a2 + b2 + c2) // 2 + 1),
     )
 
 
@@ -121,35 +115,34 @@ def wigner3j(j1, j2, j3, m1, m2, m3) -> float:
     a2, b2, c2 = j1.twice, j2.twice, j3.twice
     ma2, mb2, mc2 = m1.twice, m2.twice, m3.twice
 
-    # Racah sum over t (integer); bounds from non-negativity of factorials
+    # Racah sum over t (integer); bounds from non-negativity of factorials,
+    # and |m| <= j, the m-sum and the triangle rule make t_min <= t_max
     t_min = max(0, (b2 - c2 - ma2) // 2, (a2 - c2 + mb2) // 2)
     t_max = min(
         (a2 + b2 - c2) // 2,
         (a2 - ma2) // 2,
         (b2 + mb2) // 2,
     )
-    if t_min > t_max:
-        return 0.0
     total = Fraction(0)
     for t in range(t_min, t_max + 1):
         denom = (
-            _fact(t)
-            * _fact((c2 - b2 + ma2) // 2 + t)
-            * _fact((c2 - a2 - mb2) // 2 + t)
-            * _fact((a2 + b2 - c2) // 2 - t)
-            * _fact((a2 - ma2) // 2 - t)
-            * _fact((b2 + mb2) // 2 - t)
+            math.factorial(t)
+            * math.factorial((c2 - b2 + ma2) // 2 + t)
+            * math.factorial((c2 - a2 - mb2) // 2 + t)
+            * math.factorial((a2 + b2 - c2) // 2 - t)
+            * math.factorial((a2 - ma2) // 2 - t)
+            * math.factorial((b2 + mb2) // 2 - t)
         )
         total += Fraction(-1 if t % 2 else 1, denom)
     if total == 0:
         return 0.0
     norm = _delta_sq(a2, b2, c2) * Fraction(
-        _fact((a2 + ma2) // 2)
-        * _fact((a2 - ma2) // 2)
-        * _fact((b2 + mb2) // 2)
-        * _fact((b2 - mb2) // 2)
-        * _fact((c2 + mc2) // 2)
-        * _fact((c2 - mc2) // 2)
+        math.factorial((a2 + ma2) // 2)
+        * math.factorial((a2 - ma2) // 2)
+        * math.factorial((b2 + mb2) // 2)
+        * math.factorial((b2 - mb2) // 2)
+        * math.factorial((c2 + mc2) // 2)
+        * math.factorial((c2 - mc2) // 2)
     )
     phase = -1 if ((a2 - b2 - mc2) // 2) % 2 else 1
     sign = 1 if total > 0 else -1
@@ -179,22 +172,21 @@ def wigner6j(a, b, c, d, e, f) -> float:
     p_bcef = (b.twice + c.twice + e.twice + f.twice) // 2
     p_acdf = (a.twice + c.twice + d.twice + f.twice) // 2
 
+    # each triad sum <= each pair sum is a triangle rule of one triad
     t_min = max(s_abc, s_aef, s_dbf, s_dec)
     t_max = min(p_abde, p_bcef, p_acdf)
-    if t_min > t_max:
-        return 0.0
     total = Fraction(0)
     for t in range(t_min, t_max + 1):
         denom = (
-            _fact(t - s_abc)
-            * _fact(t - s_aef)
-            * _fact(t - s_dbf)
-            * _fact(t - s_dec)
-            * _fact(p_abde - t)
-            * _fact(p_bcef - t)
-            * _fact(p_acdf - t)
+            math.factorial(t - s_abc)
+            * math.factorial(t - s_aef)
+            * math.factorial(t - s_dbf)
+            * math.factorial(t - s_dec)
+            * math.factorial(p_abde - t)
+            * math.factorial(p_bcef - t)
+            * math.factorial(p_acdf - t)
         )
-        total += Fraction((-1 if t % 2 else 1) * _fact(t + 1), denom)
+        total += Fraction((-1 if t % 2 else 1) * math.factorial(t + 1), denom)
     if total == 0:
         return 0.0
     norm = (

@@ -275,7 +275,7 @@ def cmd_invert(args) -> int:
         if (cls2.J, cls2.p) != (cls.J, cls.p):
             raise CliError("both spectra must declare the same transition class")
         _, result2 = _invert_one(args.second_input, cls2, x2, y2, config2, args)
-        combined = combine_candidates(result, result2, angle_tol=args.angle_tol)
+        combined = combine_candidates(result.pruned, result2.pruned, angle_tol=args.angle_tol)
 
     def angles(values):
         return [_emit_angle(v, args.degrees) for v in values]

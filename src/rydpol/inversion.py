@@ -11,7 +11,9 @@ Both produce a principal angle and the fourfold candidate set
 central peak prunes the set to a twofold {phi, 2pi-phi} pair; combining
 measurements in the standard and rotated_circular optical configurations
 singles out a unique phi.  invert_peaks is the one map from a class and
-its peaks to candidates; the CLI and round_trip both go through it.
+its peaks to candidates; the CLI and round_trip both go through it, and
+measured and ideal spectra get their outer, inner and central lines from
+the one role assignment, _assign_roles.
 
 Everything here is numpy and math: peaks come from a local-maximum scan
 with a prominence threshold, and the (3/2, +-) principal angle from a
@@ -91,8 +93,11 @@ class PhaseCandidates:
     principal: float
     candidates: tuple
     pruned: tuple
-    ambiguity_class: str  # "fourfold" | "twofold" | "unique"
     ratio: float
+
+    @property
+    def ambiguity_class(self) -> str:
+        return {1: "unique", 2: "twofold"}.get(len(self.pruned), "fourfold")
 
 
 def _angle_dist(a: float, b: float) -> float:
@@ -172,7 +177,10 @@ def extract_peaks(
     if central_tol is None:
         central_tol = merge_tol
 
-    span = float(np.ptp(y))
+    with np.errstate(over="ignore"):
+        span = float(np.ptp(y))
+    if not math.isfinite(span):
+        raise ValueError("amplitude range must be finite")
     if span <= 0:
         raise FewerThanFourPeaks("flat spectrum")
     idx, proms = _find_peaks(y, min_prominence * span)
@@ -189,45 +197,42 @@ def extract_peaks(
             else:
                 merged.append((pos, prom))
         peaks = merged
+    return _assign_roles(peaks, central_tol)
 
-    positions = tuple(p for p, _ in peaks)
-    proms = tuple(w for _, w in peaks)
 
-    central = [(p, w) for p, w in peaks if abs(p) <= central_tol]
-    central_prom = max((w for _, w in central), default=0.0)
-    side = [(p, w) for p, w in peaks if abs(p) > central_tol]
-    neg = [p for p, _ in side if p < 0]
-    pos = [p for p, _ in side if p > 0]
+def _assign_roles(peaks: list, central_tol: float) -> PeakSet:
+    """PeakSet of sorted (position, prominence) pairs: lines within
+    central_tol of zero are the central feature, the outermost side line on
+    each side is outer and the innermost is inner."""
+    central = [w for p, w in peaks if abs(p) <= central_tol]
+    side = [p for p, _ in peaks if abs(p) > central_tol]
+    neg = [p for p in side if p < 0]
+    pos = [p for p in side if p > 0]
 
-    if len(side) >= 4 and neg and pos:
-        lo_m, lo_p = min(neg), max(pos)
-        li_m, li_p = max(neg), min(pos)
-    elif len(side) == 2 and neg and pos:
-        if central:
-            # central feature is the coalesced inner pair
-            lo_m, lo_p = min(neg), max(pos)
-            li_m = li_p = 0.0
-        else:
-            # two-peak degenerate spectrum: inner and outer pairs coincide
-            lo_m, lo_p = min(neg), max(pos)
-            li_m, li_p = lo_m, lo_p
-    elif len(side) >= 2 and not (neg and pos):
+    if len(side) >= 2 and not (neg and pos):
         raise NonStraddling("all side peaks on one side of zero detuning")
-    else:
+    if len(side) < 4 and len(side) != 2:
         raise FewerThanFourPeaks("found %d side peaks" % len(side))
-
-    return PeakSet(positions, proms, lo_p, lo_m, li_p, li_m, central_prom)
+    lo_m, lo_p = min(neg), max(pos)
+    if len(side) >= 4:
+        li_m, li_p = max(neg), min(pos)
+    elif central:
+        # central feature is the coalesced inner pair
+        li_m = li_p = 0.0
+    else:
+        # two-peak degenerate spectrum: inner and outer pairs coincide
+        li_m, li_p = lo_m, lo_p
+    return PeakSet(tuple(p for p, _ in peaks), tuple(w for _, w in peaks),
+                   lo_p, lo_m, li_p, li_m, max(central, default=0.0))
 
 
 def ratio_half(peaks: PeakSet, tol: float = 1e-9) -> float:
-    """Inner span over outer span for a (1/2, 0) spectrum; 0 <= R <= 1."""
+    """Inner span over outer span for a (1/2, 0) spectrum.  PeakSet orders
+    the four lines, and rounding is monotone, so 0 <= R <= 1 exactly."""
     outer = peaks.lambda_o_plus - peaks.lambda_o_minus
     if outer <= tol:
         raise DegenerateOuter("outer span %g below tolerance" % outer)
-    r = (peaks.lambda_i_plus - peaks.lambda_i_minus) / outer
-    if r > 1.0 + 1e-6:
-        raise OutOfRange("ratio %g exceeds 1" % r)
-    return min(max(r, 0.0), 1.0)
+    return (peaks.lambda_i_plus - peaks.lambda_i_minus) / outer
 
 
 def invert_half(R: float, tol: float = 1e-9) -> PhaseCandidates:
@@ -237,9 +242,7 @@ def invert_half(R: float, tol: float = 1e-9) -> PhaseCandidates:
     R = min(max(R, 0.0), 1.0)
     principal = 2.0 * (math.pi / 4.0 - math.atan(R))
     cands = _fourfold(principal)
-    return PhaseCandidates(
-        principal, cands, cands, _ambiguity_name(len(cands)), R
-    )
+    return PhaseCandidates(principal, cands, cands, R)
 
 
 def _distinct(angles, tol: float) -> tuple:
@@ -260,10 +263,6 @@ def _fourfold(principal: float) -> tuple:
         (math.pi + principal) % _TWO_PI,
         (_TWO_PI - principal) % _TWO_PI,
     ], _ANGLE_TOL)
-
-
-def _ambiguity_name(n: int) -> str:
-    return {1: "unique", 2: "twofold"}.get(n, "fourfold")
 
 
 def ratio_five_half(peaks: PeakSet, tol: float = 1e-9) -> float:
@@ -320,6 +319,12 @@ def prominence_interval(config: str) -> tuple:
                          % (config, ", ".join(PROMINENCE_INTERVALS))) from None
 
 
+def _in_prominence_interval(phi: float, config: str) -> bool:
+    """phi in the configuration's prominence interval, widened by _ANGLE_TOL."""
+    lo, hi = prominence_interval(config)
+    return lo - _ANGLE_TOL <= phi <= hi + _ANGLE_TOL
+
+
 def invert_five_half(
     R: float,
     central_prominence: float,
@@ -337,19 +342,11 @@ def invert_five_half(
     R = min(max(R, R_FIVE_MIN), R_FIVE_MAX)
     principal = phase_from_ratio_exact(R)
     cands = _fourfold(principal)
-
-    lo, hi = prominence_interval(config)
     inside = central_prominence > central_threshold
-    pruned = tuple(
-        c
-        for c in cands
-        if (lo - _ANGLE_TOL <= c <= hi + _ANGLE_TOL) == inside
-    )
+    pruned = tuple(c for c in cands if _in_prominence_interval(c, config) == inside)
     if not pruned:  # prominence contradicts every candidate; keep all
         pruned = cands
-    return PhaseCandidates(
-        principal, cands, pruned, _ambiguity_name(len(pruned)), R
-    )
+    return PhaseCandidates(principal, cands, pruned, R)
 
 
 def config_free(cls: TransitionClass) -> bool:
@@ -373,56 +370,32 @@ def invert_peaks(cls: TransitionClass, peaks: PeakSet, central_prominence: float
                             central_threshold, config=config, tol=tol)
 
 
-def combine_candidates(first: PhaseCandidates, second: PhaseCandidates,
-                       angle_tol: float = 1e-6) -> tuple:
-    """Intersection of two pruned candidate sets (e.g. the two optics runs);
-    near phi = k pi/2 one candidate can match two, so matches within
-    angle_tol of each other are one angle."""
+def combine_candidates(first, second, angle_tol: float = 1e-6) -> tuple:
+    """Intersection of two candidate angle sets (e.g. the pruned sets of the
+    two optics runs); near phi = k pi/2 one candidate can match two, so
+    matches within angle_tol of each other are one angle."""
     out = []
-    for a in first.pruned:
-        for b in second.pruned:
+    for a in first:
+        for b in second:
             if _angle_dist(a, b) <= angle_tol:
                 out.append((a + b) / 2.0 if abs(a - b) < math.pi else a)
     return _distinct(out, angle_tol)
 
 
-def peakset_from_eigenvalues(cls: TransitionClass, eigenvalues) -> PeakSet:
-    """Idealized PeakSet taken directly from dressed eigenvalues (no line
-    shape); the independent route for eigenvalue-level round trips.
-    Eigenvalues within 1e-9 of zero count as the central line."""
-    zero_tol = 1e-9
+def peakset_from_eigenvalues(eigenvalues) -> PeakSet:
+    """Idealized PeakSet taken directly from dressed eigenvalues, each a
+    line of prominence 1 with no line shape; the route for eigenvalue-level
+    round trips.  Eigenvalues within 1e-9 of zero count as the central line."""
     ev = np.sort(np.asarray(eigenvalues, dtype=float))
-    nonzero = ev[np.abs(ev) > zero_tol]
-    has_central = len(nonzero) < len(ev)
-    if len(nonzero) == 0:
-        raise DegenerateOuter("all eigenvalues at zero")
-    lo_m, lo_p = float(nonzero[0]), float(nonzero[-1])
-    if cls.p == 0 and cls.J.twice == 1:
-        by_abs = np.sort(np.abs(ev))
-        li = float(by_abs[1]) if by_abs[1] > zero_tol else 0.0
-        li_m, li_p = -li, li
-        if li == 0.0:
-            li_m = li_p = 0.0
-    else:
-        neg = nonzero[nonzero < 0]
-        pos = nonzero[nonzero > 0]
-        if len(neg) == 0 or len(pos) == 0:
-            raise NonStraddling("eigenvalues do not straddle zero")
-        li_m, li_p = float(neg.max()), float(pos.min())
-    return PeakSet(
-        tuple(float(v) for v in ev), tuple(1.0 for _ in ev),
-        lo_p, lo_m, li_p, li_m, 1.0 if has_central else 0.0,
-    )
+    return _assign_roles([(float(v), 1.0) for v in ev], 1e-9)
 
 
 @dataclass(frozen=True)
 class RoundTripReport:
-    cls: TransitionClass
     phi_true: float
     per_config: dict
     combined: tuple
     recovered: bool
-    angle_tol: float
 
 
 def round_trip(
@@ -440,22 +413,17 @@ def round_trip(
     """
     phi_true = phi_true % _TWO_PI
     free = config_free(cls)  # NotInvertible before any peak error
-    peaks = peakset_from_eigenvalues(cls, eigen_spectrum(cls, phi_true).eigenvalues)
+    peaks = peakset_from_eigenvalues(eigen_spectrum(cls, phi_true).eigenvalues)
     if free:
         per_config = {"any": invert_peaks(cls, peaks, 0.0, 0.5, "standard", 1e-6)}
     else:
         per_config = {}
         for config in configs:
-            lo, hi = prominence_interval(config)
-            cp = 1.0 if lo - _ANGLE_TOL <= phi_true <= hi + _ANGLE_TOL else 0.0
+            cp = 1.0 if _in_prominence_interval(phi_true, config) else 0.0
             per_config[config] = invert_peaks(cls, peaks, cp, 0.5, config, 1e-6)
     results = list(per_config.values())
     combined = results[0].pruned
     for other in results[1:]:
-        inter = combine_candidates(
-            PhaseCandidates(0, combined, combined, "", other.ratio), other,
-            angle_tol=max(angle_tol, 1e-9),
-        )
-        combined = inter if inter else combined
+        combined = combine_candidates(combined, other.pruned, max(angle_tol, 1e-9)) or combined
     recovered = any(_angle_dist(phi_true, c) <= angle_tol for c in combined)
-    return RoundTripReport(cls, phi_true, per_config, combined, recovered, angle_tol)
+    return RoundTripReport(phi_true, per_config, combined, recovered)

@@ -151,27 +151,27 @@ def test_criterion_05_ratio_bounds(verdict):
     vals = []
     for phi in np.linspace(1e-4, 2 * math.pi - 1e-4, 2001):
         ps = peakset_from_eigenvalues(
-            FIVE_HALF, eigen_spectrum(FIVE_HALF, phi).eigenvalues)
+            eigen_spectrum(FIVE_HALF, phi).eigenvalues)
         vals.append(ratio_five_half(ps))
     vals = np.array(vals)
     ok = ok and vals.min() > r_lo - 1e-6 and vals.max() < r_hi + 1e-6
     for phi in (0.0, math.pi):
         ps = peakset_from_eigenvalues(
-            FIVE_HALF, eigen_spectrum(FIVE_HALF, phi).eigenvalues)
+            eigen_spectrum(FIVE_HALF, phi).eigenvalues)
         ok = ok and abs(ratio_five_half(ps) - r_lo) < 1e-6
     for phi in (math.pi / 2, 3 * math.pi / 2):
         ps = peakset_from_eigenvalues(
-            FIVE_HALF, eigen_spectrum(FIVE_HALF, phi).eigenvalues)
+            eigen_spectrum(FIVE_HALF, phi).eigenvalues)
         ok = ok and abs(ratio_five_half(ps) - r_hi) < 1e-6
     # (1/2, 0): R in [0, 1], R = 1 at phi in {0, pi}, R = 0 at {pi/2, 3pi/2}
     for phi in np.linspace(1e-4, 2 * math.pi - 1e-4, 2001):
         ps = peakset_from_eigenvalues(
-            HALF_ZERO, eigen_spectrum(HALF_ZERO, phi).eigenvalues)
+            eigen_spectrum(HALF_ZERO, phi).eigenvalues)
         r = ratio_half(ps)
         ok = ok and -1e-6 <= r <= 1.0 + 1e-6
     for phi, expect in ((0.0, 1.0), (math.pi, 1.0)):
         ps = peakset_from_eigenvalues(
-            HALF_ZERO, eigen_spectrum(HALF_ZERO, phi).eigenvalues)
+            eigen_spectrum(HALF_ZERO, phi).eigenvalues)
         ok = ok and abs(ratio_half(ps) - expect) < 1e-6
     for phi in (math.pi / 2, 3 * math.pi / 2):
         ev = np.sort(np.abs(eigen_spectrum(HALF_ZERO, phi).eigenvalues))
@@ -185,13 +185,13 @@ def test_criterion_06_eigenvalue_round_trip(verdict):
     worst = 0.0
     for phi in phis:
         ps = peakset_from_eigenvalues(
-            HALF_ZERO, eigen_spectrum(HALF_ZERO, phi).eigenvalues)
+            eigen_spectrum(HALF_ZERO, phi).eigenvalues)
         out = invert_half(ratio_half(ps))
         ok = ok and out.ambiguity_class == "fourfold"
         worst = max(worst, min(_angle_dist(phi, c) for c in out.candidates))
 
         ps = peakset_from_eigenvalues(
-            FIVE_HALF, eigen_spectrum(FIVE_HALF, phi).eigenvalues)
+            eigen_spectrum(FIVE_HALF, phi).eigenvalues)
         lo, hi = math.pi / 2, 3 * math.pi / 2
         prominent = 1.0 if lo <= phi <= hi else 0.0
         out = invert_five_half(ratio_five_half(ps), prominent, 0.5,
@@ -302,7 +302,7 @@ def test_criterion_09_symmetry_breaking(verdict):
                                  config="standard", tol=0.3)
         second = invert_five_half(R, height(p_rot, phi_true), thr_rot,
                                   config="rotated_circular", tol=0.3)
-        combined = combine_candidates(first, second, angle_tol=0.08)
+        combined = combine_candidates(first.pruned, second.pruned, angle_tol=0.08)
         ok_combined = ok_combined and len(combined) == 1
         ok_combined = ok_combined and _angle_dist(combined[0], phi_true) < 0.05
 

@@ -1,6 +1,9 @@
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import dipole_angular_factor, dipole_angular_factor_generic, orbital_angular_momentum
 from rydpol.angular import (
@@ -149,6 +152,77 @@ class TestWigner6j:
                 ref = 0.0  # sympy raises on non-triangular inputs
             assert mine == pytest.approx(ref, abs=1e-12), vals
             checked += 1
+
+
+def _phase(*twojs) -> int:
+    """(-1)^(j1 + j2 + j3) for doubled j whose sum is even."""
+    return -1 if (sum(twojs) // 2) % 2 else 1
+
+
+@st.composite
+def three_j_args(draw):
+    """Doubled (j1, j2, j3, m1, m2, m3), 2j <= 9, each m of j's parity but
+    allowed past |m| <= j; the m-sum is zero in about half the draws."""
+    twoj = [draw(st.integers(0, 9)) for _ in range(3)]
+    twom = [2 * draw(st.integers(-5, 5)) + j % 2 for j in twoj[:2]]
+    m3 = -twom[0] - twom[1]
+    if (twoj[2] - m3) % 2 or draw(st.booleans()):
+        m3 = 2 * draw(st.integers(-5, 5)) + twoj[2] % 2
+    return tuple(twoj) + (twom[0], twom[1], m3)
+
+
+class TestWignerProperties:
+    """Selection rules, symmetries and orthogonality over random arguments,
+    against sympy as the independent reference."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(args=three_j_args())
+    def test_3j_matches_sympy(self, args):
+        ref = float(sympy_physics.wigner_3j(*[Fraction(v, 2) for v in args]))
+        assert wigner3j(*map(HalfInt, args)) == pytest.approx(ref, abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(args=three_j_args())
+    def test_3j_odd_permutation_and_m_reversal_phase(self, args):
+        j1, j2, j3, m1, m2, m3 = args
+        value = wigner3j(*map(HalfInt, args))
+        phased = _phase(j1, j2, j3) * value
+        for perm in ((j2, j1, j3, m2, m1, m3), (j1, j3, j2, m1, m3, m2),
+                     (j3, j2, j1, m3, m2, m1), (j1, j2, j3, -m1, -m2, -m3)):
+            assert wigner3j(*map(HalfInt, perm)) == phased, perm
+
+    @settings(max_examples=60, deadline=None)
+    @given(j1=st.integers(0, 9), j2=st.integers(0, 9), data=st.data())
+    def test_3j_orthogonality(self, j1, j2, data):
+        triads = list(range(abs(j1 - j2), j1 + j2 + 1, 2))
+        j3 = data.draw(st.sampled_from(triads))
+        j3p = data.draw(st.sampled_from(triads))
+        m3 = data.draw(st.sampled_from(range(-j3, j3 + 1, 2)))
+        total = 0.0
+        for m1 in range(-j1, j1 + 1, 2):
+            m2 = -m3 - m1
+            if abs(m2) <= j2:
+                total += (j3 + 1) * (
+                    wigner3j(*map(HalfInt, (j1, j2, j3, m1, m2, m3)))
+                    * wigner3j(*map(HalfInt, (j1, j2, j3p, m1, m2, m3))))
+        assert total == pytest.approx(1.0 if j3 == j3p else 0.0, abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(args=st.lists(st.integers(0, 9), min_size=6, max_size=6))
+    def test_6j_matches_sympy(self, args):
+        try:
+            ref = float(sympy_physics.wigner_6j(*[Fraction(v, 2) for v in args]))
+        except ValueError:
+            ref = 0.0  # sympy raises on a non-triangular triad
+        assert wigner6j(*map(HalfInt, args)) == pytest.approx(ref, abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(args=st.lists(st.integers(0, 9), min_size=6, max_size=6),
+           order=st.permutations(range(3)))
+    def test_6j_column_permutation_invariant(self, args, order):
+        top = [args[k] for k in order]
+        bottom = [args[3 + k] for k in order]
+        assert wigner6j(*map(HalfInt, top + bottom)) == wigner6j(*map(HalfInt, args))
 
 
 class TestReducedStrength:

@@ -411,7 +411,10 @@ class TestInvertCommand:
         (list(range(8)), [0, 1, float("nan"), 0, 1, 0, 1, 0], "finite"),
         (list(range(8)), [0, 1, "peak", 0, 1, 0, 1, 0], "must be numbers"),
         (list(range(8)), [0.0] * 7, "bad.json: detuning and amplitude must be equal-length 1-D"),
+        (list(range(241)), [1e308] * 120 + [-1e308] * 121,
+         "bad.json: amplitude range must be finite"),
     ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_spectrum_invalid_input(self, tmp_path, capsys, x, y, message):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({

@@ -19,7 +19,6 @@ from rydpol.inversion import (
     NotInvertible,
     OutOfRange,
     PeakSet,
-    PhaseCandidates,
     _angle_dist,
     _find_peaks,
     _refine_quadratic,
@@ -232,7 +231,7 @@ class TestHalfKernel:
         rng = np.random.default_rng(3)
         for phi in rng.uniform(0.05, math.pi / 2 - 0.05, 25):
             spec = eigen_spectrum(HALF_ZERO, phi)
-            ps = peakset_from_eigenvalues(HALF_ZERO, spec.eigenvalues)
+            ps = peakset_from_eigenvalues(spec.eigenvalues)
             out = invert_half(ratio_half(ps))
             assert in_pruned(out, phi, 1e-9)
 
@@ -319,14 +318,12 @@ class TestCombine:
         R = envelope_ratio_exact(phi)
         a = invert_five_half(R, 0.0, 0.5, config="standard")
         b = invert_five_half(R, 1.0, 0.5, config="rotated_circular")
-        combined = combine_candidates(a, b, angle_tol=1e-6)
+        combined = combine_candidates(a.pruned, b.pruned, angle_tol=1e-6)
         assert len(combined) == 1
         assert combined[0] == pytest.approx(phi, abs=1e-9)
 
     def test_disjoint_sets_empty(self):
-        a = PhaseCandidates(0.5, (0.5,), (0.5,), "unique", 2.0)
-        b = PhaseCandidates(1.5, (1.5,), (1.5,), "unique", 2.0)
-        assert combine_candidates(a, b) == ()
+        assert combine_candidates((0.5,), (1.5,)) == ()
 
 
 class TestRoundTrip:
@@ -404,14 +401,14 @@ class TestRoundTrip:
 
 class TestInvertPeaks:
     def test_half_zero_is_inner_over_outer(self):
-        ps = peakset_from_eigenvalues(HALF_ZERO, eigen_spectrum(HALF_ZERO, 0.6).eigenvalues)
+        ps = peakset_from_eigenvalues(eigen_spectrum(HALF_ZERO, 0.6).eigenvalues)
         out = invert_peaks(HALF_ZERO, ps, 0.0, 0.5, "rotated_circular", 1e-6)
         assert out == invert_half(ratio_half(ps))
 
     @pytest.mark.parametrize("config,cp", [("standard", 0.0), ("rotated_circular", 1.0)])
     def test_five_half_is_outer_over_inner(self, config, cp):
         cls = TransitionClass.of(1.5, -1)
-        ps = peakset_from_eigenvalues(cls, eigen_spectrum(cls, 0.8).eigenvalues)
+        ps = peakset_from_eigenvalues(eigen_spectrum(cls, 0.8).eigenvalues)
         out = invert_peaks(cls, ps, cp, 0.5, config, 1e-6)
         assert out == invert_five_half(ratio_five_half(ps), cp, 0.5, config=config)
         assert in_pruned(out, 0.8, 1e-9)
@@ -425,16 +422,40 @@ class TestInvertPeaks:
 class TestPeaksetFromEigenvalues:
     def test_half_zero_inner_by_magnitude(self):
         spec = eigen_spectrum(HALF_ZERO, 1.0)
-        ps = peakset_from_eigenvalues(HALF_ZERO, spec.eigenvalues)
+        ps = peakset_from_eigenvalues(spec.eigenvalues)
         ev = np.sort(np.abs(spec.eigenvalues))
         assert ps.lambda_i_plus == pytest.approx(ev[1])
         assert ps.lambda_o_plus == pytest.approx(ev[-1])
 
     def test_five_half_central_flag(self):
         spec = eigen_spectrum(FIVE_HALF, 1.0)
-        ps = peakset_from_eigenvalues(FIVE_HALF, spec.eigenvalues)
+        ps = peakset_from_eigenvalues(spec.eigenvalues)
         assert ps.central_prominence == 1.0  # zero modes always present
 
+    @pytest.mark.parametrize("cls", [HALF_ZERO, FIVE_HALF, TransitionClass.of(1.5, -1)],
+                             ids=lambda c: c.label())
+    @settings(max_examples=100, deadline=None)
+    @given(phi=st.floats(0.0, 2 * math.pi))
+    @example(phi=math.pi / 2)
+    @example(phi=math.pi / 2 - 1e-12)
+    @example(phi=math.pi / 2 + 1e-12)
+    @example(phi=3 * math.pi / 2)
+    @example(phi=3 * math.pi / 2 - 1e-12)
+    @example(phi=3 * math.pi / 2 + 1e-12)
+    def test_role_policy(self, cls, phi):
+        # outer = +-max|lambda|; inner = +-(smallest |lambda| > 1e-9) when at
+        # least four lines lie above 1e-9, else 0; central = a line at zero
+        ev = np.asarray(eigen_spectrum(cls, phi).eigenvalues)
+        ps = peakset_from_eigenvalues(ev)
+        mag = np.abs(ev)
+        side = np.sort(mag[mag > 1e-9])
+        inner = side[0] if side.size >= 4 else 0.0
+        assert ps.lambda_o_plus == pytest.approx(mag.max(), abs=1e-12)
+        assert ps.lambda_o_minus == pytest.approx(-mag.max(), abs=1e-12)
+        assert ps.lambda_i_plus == pytest.approx(inner, abs=1e-12)
+        assert ps.lambda_i_minus == pytest.approx(-inner, abs=1e-12)
+        assert (ps.central_prominence == 1.0) == bool(np.any(mag <= 1e-9))
+
     def test_all_zero_raises(self):
-        with pytest.raises(DegenerateOuter):
-            peakset_from_eigenvalues(HALF_ZERO, [0.0, 0.0, 0.0, 0.0])
+        with pytest.raises(FewerThanFourPeaks, match="found 0 side peaks"):
+            peakset_from_eigenvalues([0.0, 0.0, 0.0, 0.0])

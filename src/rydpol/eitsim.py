@@ -11,9 +11,9 @@ S-series classes are probed on r1, the D-series on r2).  Peak positions in
 the probe response vs coupling detuning Delta_c sit at omega_rf times the
 dressed eigenvalues; optics only reshape peak prominences.  The spectrum
 is one linear readout of the steady state (the probe row on the g-i
-coherences): a sum of poles taken from one reduction and one
-eigendecomposition per SOP that also yields the dark steady state
-(_poles, eit_spectrum).
+coherences): a sum of poles taken from one reduction, in the real
+coordinates of a Hermitian rho, and one real eigendecomposition per SOP
+that also yields the dark steady state (_poles, eit_spectrum).
 
 All rates and detunings are in MHz (angular frequency units absorbed into
 the Rabi conventions).
@@ -249,14 +249,17 @@ def liouvillian(H: np.ndarray, collapse: np.ndarray) -> np.ndarray:
     where G = -iH - K/2 is the effective non-Hermitian Hamiltonian, and the
     jump term J = sum_c C_c (x) C_c^* is one (n^2, channels) x
     (channels, n^2) product whose (ik, jl) entries are reordered to (ij, kl).
+    The two Kronecker terms are added to J where j = l and where i = k.
     """
     n = H.shape[0]
-    eye = np.eye(n)
     K = np.tensordot(collapse.conj(), collapse, axes=([0, 1], [0, 1]))
     flat = collapse.reshape(-1, n * n)
-    jump = (flat.T @ flat.conj()).reshape(n, n, n, n).transpose(0, 2, 1, 3)
-    return (np.kron(-1j * H - 0.5 * K, eye) + np.kron(eye, (1j * H - 0.5 * K).T)
-            + jump.reshape(n * n, n * n))
+    L4 = (flat.T @ flat.conj()).reshape(n, n, n, n).transpose(0, 2, 1, 3).copy()
+    G, B = -1j * H - 0.5 * K, (1j * H - 0.5 * K).T
+    for j in range(n):
+        L4[:, j, :, j] += G
+        L4[j, :, j, :] += B
+    return L4.reshape(n * n, n * n)
 
 
 def _impose_trace(L: np.ndarray, n: int) -> np.ndarray:
@@ -335,40 +338,56 @@ class EitSpectrogram:
 
 def _poles(L: np.ndarray, m: int, w: np.ndarray) -> tuple:
     """Reduce the trace-row steady-state system A(Delta_c) x = e_0, with
-    A(Delta_c) = L + Delta_c diag(d), to its poles and the residues of one
+    A(Delta_c) = L + Delta_c D, to its poles and the residues of one
     readout row (overwrites L).
 
-    H(Delta_c) = H(0) - Delta_c on the Rydberg diagonal (states m and up),
-    so d is +-i on the coherences between a Rydberg and a non-Rydberg
-    state (the set P) and zero everywhere else (the set Q, which holds the
-    trace row and the probe coherences).  Eliminating Q leaves
+    The system is real in the coordinates x of a Hermitian rho that hold,
+    for a < b, Re rho_ab at the flat index u = a n + b and Im rho_ab at its
+    twin l = b n + a: rho = T x, T_u = e_u + e_l, T_l = i (e_u - e_l), and
+    A = T^-1 L T is one elementwise pass over L.  H(Delta_c) = H(0) -
+    Delta_c on the Rydberg diagonal (states m and up), so D is zero except
+    on the coherences between a Rydberg and a non-Rydberg state (the set
+    P), where it maps each (Re, Im) pair by +-[[0, -1], [1, 0]]; the rest
+    (the set Q) holds the trace row and the probe coherences.  Eliminating
+    Q leaves
         x_Q = x0 - G x_P,    (M + Delta_c) x_P = g,
     with x0 = A_QQ^-1 b_Q, G = A_QQ^-1 A_QP, the Schur complement
-    S = A_PP - A_PQ G and M = diag(d_P)^-1 S = V diag(lam) V^-1.
+    S = A_PP - A_PQ G and M = D_PP^-1 S = V diag(lam) V^-1.  D_PP^-1 is
+    -D_PP, so M is S with each row swapped with its twin's, one negated.
 
     Omega_c only couples P to Q and Delta_c only shifts P, so A_QQ holds
     neither: x0 is the dark steady state (coupling laser off, x_P = 0).
-    For a readout row w that is zero on P,
-        w . x = w_Q x0 - sum_k c_k / (Delta_c + lam_k),
-    with c = (w_Q G V) * (V^-1 g).  Returns (lam, c).
+    For a readout row w that is zero on P and r = Im(w T),
+        Im(w . vec(rho)) = r_Q x0 - Im sum_k c_k / (Delta_c + lam_k),
+    with c = i (r_Q G V) * (V^-1 g).  Returns (lam, c).
     """
     n = math.isqrt(L.shape[0])
-    ryd = np.zeros(n)
-    ryd[m:] = 1.0
-    d = 1j * (np.repeat(ryd, n) - np.tile(ryd, n))
+    ryd = (np.arange(n) >= m).astype(float)
+    d = np.repeat(ryd, n) - np.tile(ryd, n)  # D x = -d * x[twin] on P
     p, q = np.flatnonzero(d), np.flatnonzero(d == 0)
-    b = _impose_trace(L, n)
-    A_PQ = L[np.ix_(p, q)]
-    sol = np.linalg.solve(L[np.ix_(q, q)], np.column_stack((b[q], L[np.ix_(q, p)])))
+    b = _impose_trace(L, n).real
+    lo, hi = np.triu_indices(n, 1)
+    u, l = lo * n + hi, hi * n + lo
+    w = w[None, :].copy()
+    for X in (L, w):
+        Xu, Xl = X[:, u], X[:, l]
+        X[:, u], X[:, l] = Xu + Xl, 1j * (Xu - Xl)
+    Ru, Rl = L[u], L[l]
+    L[u], L[l] = 0.5 * (Ru + Rl), -0.5j * (Ru - Rl)
+    A, r = L.real, w[0].imag
+    twin = np.searchsorted(p, (p % n) * n + p // n)  # P position of each twin
+    A_PQ = A[np.ix_(p, q)]
+    sol = np.linalg.solve(A[np.ix_(q, q)], np.column_stack((b[q], A[np.ix_(q, p)])))
     x0, G = sol[:, 0], sol[:, 1:]
     # an overflow here is reported by the finiteness check, not as warnings
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        M = (L[np.ix_(p, p)] - A_PQ @ G) / d[p, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = A[np.ix_(p, p)] - A_PQ @ G
+    M = d[p, None] * S[twin]
     if not np.all(np.isfinite(M)):
         raise np.linalg.LinAlgError("Schur complement is not finite")
     lam, V = np.linalg.eig(M)
-    g = -(A_PQ @ x0) / d[p]
-    return lam, ((w[q] @ G) @ V) * np.linalg.solve(V, g)
+    g = -d[p] * (A_PQ @ x0)[twin]
+    return lam, 1j * ((r[q] @ G) @ V) * np.linalg.solve(V, g)
 
 
 def eit_spectrum(scheme: LevelScheme, params: SimParams, sop: RfSop | float) -> EitSpectrum:
@@ -379,10 +398,10 @@ def eit_spectrum(scheme: LevelScheme, params: SimParams, sop: RfSop | float) -> 
     The coupling detuning enters the Liouvillian only as a diagonal shift,
     and the probe readout is one linear function of the steady state, so
     the response is a sum of poles, -Im sum_k c_k / (Delta_c + lam_k),
-    from one reduction and one eigendecomposition per SOP (_poles).  No
-    linear system is solved per detuning and no density matrix is formed.
-    steady_state and probe_absorption stay the dense reference that this
-    is tested against.
+    from one real reduction and one real eigendecomposition per SOP
+    (_poles).  No linear system is solved per detuning and no density
+    matrix is formed.  steady_state and probe_absorption stay the dense
+    reference that this is tested against.
     """
     if not isinstance(sop, RfSop):
         sop = sop_from_phi(float(sop))

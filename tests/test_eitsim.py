@@ -318,8 +318,9 @@ class TestSpectrum:
         (FIVE_HALF, tilted_linear_optics, 100.0, math.pi / 2, {}),
         (FIVE_HALF, standard_optics, None, 0.9, {"coupling_detuning_grid": tuple(np.concatenate(
             ([-1e5, -1e4, -1e3], np.linspace(-50, 50, 35), [1e3, 1e4, 1e5])))}),
+        (HALF_PLUS, rotated_circular_optics, 100.0, 0.9, {}),
     ], ids=["1/2^0", "3/2^+", "3/2^+_r3", "3/2^-_rotated", "1/2^+_r3", "3/2^0_r3_1e6",
-            "omega_rf_0", "phi_0", "phi_pi/2", "grid_1e5"])
+            "omega_rf_0", "phi_0", "phi_pi/2", "grid_1e5", "1/2^+_r3_rotated"])
     def test_matches_dense_reference(self, cls, optics, third, phi, over):
         # the readout row of the Schur reduction against a fresh Hamiltonian
         # and a full steady_state solve at each detuning, minus the dark
@@ -432,6 +433,43 @@ class TestSchurSweep:
         # residue
         count, share = _central_source_share(*_weak_drive_poles(FIVE_HALF, math.pi / 2, 40.0))
         assert count > 0 and share > 0.1
+
+    @settings(max_examples=40, deadline=None)
+    @given(cls=st.sampled_from(EXPERIMENTAL_CLASSES), phi=st.floats(0.0, 2 * math.pi),
+           third=st.sampled_from([None, 100.0]), omega_coupling=st.floats(0.5, 40.0),
+           gamma_r=st.floats(0.05, 1.0), omega_rf=st.floats(0.0, 50.0))
+    def test_pole_properties_under_strong_drive(self, cls, phi, third, omega_coupling,
+                                                gamma_r, omega_rf):
+        # away from the weak-drive limit, where the poles leave the dressed
+        # lines: M is real, so its eigenvalues are an exactly
+        # conjugate-closed set; the drive only broadens, so no pole comes
+        # closer to the real Delta_c axis than gamma_r / 2, the decay of a
+        # Rydberg-ground coherence (over 500 draws weighted to the corners
+        # of this box the closest read 1.0003 gamma_r / 2)
+        s = scheme_for_class(cls, third_delta3_mhz=third)
+        p = small_params(omega_coupling=omega_coupling, gamma_r=gamma_r, omega_rf=omega_rf)
+        H = build_hamiltonian(s, p, phi, 0.0)
+        ops, r1, w = collapse_operators(s, p), s.offsets()["r1"], _probe_row(s, p.optics)
+        lam, c = _poles(liouvillian(H, ops), r1, w)
+        assert np.array_equal(np.sort_complex(lam), np.sort_complex(lam.conj()))
+        assert np.abs(lam.imag).min() >= (1 - 1e-9) * gamma_r / 2
+        if cls == HALF_PLUS:
+            # criterion 08's Laporte absence: the poles of the r2 states
+            # that the RF leaves dark, central in the weak-drive limit,
+            # carry no residue.  Away from it the coupling laser moves them
+            # (it splits their coherences with i) and pulls driven poles
+            # onto Re = 0, so they are told apart by shifting the dark
+            # states alone by 1 MHz: they are the poles that were not
+            # there before
+            r2 = slice(s.offsets()["r2"], s.offsets()["r2"] + 4)  # J' = 3/2
+            _, sv, vh = np.linalg.svd(H[r1:r2.start, r2])
+            dark = vh[np.count_nonzero(sv > 1e-9):].conj()  # rows H[r1, r2] maps to 0
+            H[r2, r2] += dark.T @ dark.conj()
+            shifted, c = _poles(liouvillian(H, ops), r1, w)
+            new = np.abs(shifted[:, None] - lam[None, :]).min(axis=1) > 1e-6
+            # each dark state's coherences with the 6 g and i states, Re and Im
+            assert np.count_nonzero(new) == 12 * len(dark)
+            assert np.linalg.norm(c[new]) < 1e-12 * np.linalg.norm(c)
 
     @settings(max_examples=20, deadline=None)
     @given(cls=st.sampled_from(EXPERIMENTAL_CLASSES), phi=st.floats(0.0, 2 * math.pi),

@@ -11,12 +11,7 @@ import os
 
 import numpy as np
 
-from rydpol.dressing import (
-    EXPERIMENTAL_CLASSES,
-    eigen_spectrum,
-    spectrogram,
-    write_spectrogram_csv,
-)
+from rydpol.dressing import EXPERIMENTAL_CLASSES, eigen_spectrum, spectrogram
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "output")
 
@@ -34,7 +29,11 @@ def main():
         )
         name = cls.label().replace("/", "_").replace("^", "")
         path = os.path.join(OUT_DIR, "bands_%s.csv" % name)
-        write_spectrogram_csv(path, spectra)
+        with open(path, "w") as fh:
+            fh.write("phi,band_index,eigenvalue\n")
+            for spec in spectra:
+                for k, ev in enumerate(spec.eigenvalues):
+                    fh.write("%.9g,%d,%.9g\n" % (spec.phi, k, ev))
         print("%-6s  %3d   %17d   %23d" % (cls.label(), cls.dim, n_cardinal, n_max))
         print("        -> %s" % path)
     print()

@@ -9,9 +9,13 @@ invert        recover candidate phase angles from a spectrum file
 wigner        evaluate a single 3-j or 6-j symbol
 roundtrip     eigenvalue-level forward-and-back consistency sweep
 
-Every run that writes files also writes a manifest JSON next to the first
-output recording every parsed argument (input paths made absolute), so a
-run can be reproduced exactly.  Angles are radians unless --degrees is
+This is the one module that formats output: the library returns arrays
+and dataclasses, every table goes through _write_csv and every JSON
+document, the manifest included, through _write_json.  The one exception
+is the EIT table, which eitsim.write_spectrogram_csv writes.  Every run
+that writes files also writes a manifest JSON next to the first output
+recording every parsed argument (input paths made absolute), so a run
+can be reproduced exactly.  Angles are radians unless --degrees is
 given.  Exit codes: 0 success, 2 usage, 3 invalid input, 4 numerical
 failure.  Float flags must be finite, tolerances and --min-prominence >= 0.
 `main` is re-entrant: it reuses the one parser `build_parser` caches, and
@@ -31,20 +35,18 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, astuple
 
 import numpy as np
 
 from . import __version__
 from .angular import HalfInt, wigner3j, wigner6j
-from . import dressing
 from .dressing import (
     TransitionClass,
     class_from_spec,
     envelopes_approx,
     envelopes_exact,
     spectrogram,
-    write_envelopes_csv,
 )
 from . import eitsim
 from .inversion import (
@@ -126,9 +128,14 @@ def _write_manifest(args) -> None:
             value = os.path.abspath(value)
         manifest[key] = value
     base, _ = os.path.splitext(args.output)
-    with open(base + ".manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(dict(sorted(manifest.items())), base + ".manifest.json")
+
+
+def _write_csv(path, header, row_format, rows) -> None:
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(row_format % row + "\n")
 
 
 def _write_json(doc, path) -> None:
@@ -152,41 +159,49 @@ def _emit_angle(value: float, degrees: bool) -> float:
     return math.degrees(value) if degrees else value
 
 
+def _envelope_rows(phi_grid, kind, degrees) -> list:
+    """(phi, eo_plus, eo_minus, ei_plus, ei_minus, kind) per angle of a
+    radian grid, phi emitted in degrees if asked: the rows of the
+    envelopes table, of its spectrogram side file and of the spectrogram
+    JSON's envelopes (columns 2-5)."""
+    fn = envelopes_exact if kind == "exact" else envelopes_approx
+    return [(_emit_angle(phi, degrees),) + astuple(fn(phi)) + (kind,)
+            for phi in phi_grid.tolist()]
+
+
+def _write_envelopes(path, phi_grid, kind, degrees) -> None:
+    _write_csv(path, "phi,eo_plus,eo_minus,ei_plus,ei_minus,exact_or_approx",
+               "%.9g,%.9g,%.9g,%.9g,%.9g,%s", _envelope_rows(phi_grid, kind, degrees))
+
+
 def cmd_spectrogram(args) -> int:
     cls = _transition_class(args)
     if args.envelopes and (cls.J.twice, abs(cls.p)) != (3, 1):
         raise CliError("--envelopes are the 3/2^+- envelopes; class %s has none"
                        % cls.label())
     phi_grid = _phi_grid(args)
-    spectra = [replace(s, phi=_emit_angle(s.phi, args.degrees))
-               for s in spectrogram(cls, phi_grid)]
+    spectra = spectrogram(cls, phi_grid)
+    phis = [_emit_angle(s.phi, args.degrees) for s in spectra]
     if args.format == "json":
-        doc = dressing.spectrogram_json_dict(spectra)
-        doc["class"] = {"J2": cls.J.twice, "p": cls.p}
+        doc = {"phi": phis, "eigenvalues": [s.eigenvalues.tolist() for s in spectra],
+               "class": {"J2": cls.J.twice, "p": cls.p}}
         if args.envelopes:
-            fn = envelopes_exact if args.envelopes == "exact" else envelopes_approx
-            doc["envelopes"] = {
-                "kind": args.envelopes,
-                "rows": [list(asdict(fn(float(p))).values()) for p in phi_grid],
-            }
+            rows = _envelope_rows(phi_grid, args.envelopes, args.degrees)
+            doc["envelopes"] = {"kind": args.envelopes, "rows": [list(r[1:5]) for r in rows]}
         _write_json(doc, args.output)
     else:
-        dressing.write_spectrogram_csv(args.output, spectra)
+        _write_csv(args.output, "phi,band_index,eigenvalue", "%.9g,%d,%.9g",
+                   ((phi, k, ev) for phi, s in zip(phis, spectra)
+                    for k, ev in enumerate(s.eigenvalues.tolist())))
         if args.envelopes:
             base, ext = os.path.splitext(args.output)
-            write_envelopes_csv(
-                base + "_envelopes" + (ext or ".csv"),
-                phi_grid,
-                exact=(args.envelopes == "exact"),
-                degrees=args.degrees,
-            )
+            _write_envelopes(base + "_envelopes" + (ext or ".csv"), phi_grid,
+                             args.envelopes, args.degrees)
     return EXIT_OK
 
 
 def cmd_envelopes(args) -> int:
-    phi_grid = _phi_grid(args)
-    write_envelopes_csv(args.output, phi_grid, exact=(args.kind == "exact"),
-                        degrees=args.degrees)
+    _write_envelopes(args.output, _phi_grid(args), args.kind, args.degrees)
     return EXIT_OK
 
 
@@ -218,7 +233,8 @@ def cmd_eit(args) -> int:
     except np.linalg.LinAlgError as exc:
         raise CliError("steady-state solve failed: %s" % exc, EXIT_NUMERICAL)
     if args.format == "json":
-        _write_json(eitsim.spectrogram_json_dict(spg), args.output)
+        _write_json({"phi": spg.phi_grid.tolist(), "delta_c_mhz": spg.detuning_mhz.tolist(),
+                     "response": spg.response.tolist()}, args.output)
     else:
         eitsim.write_spectrogram_csv(args.output, spg)
     return EXIT_OK
@@ -291,9 +307,7 @@ def cmd_invert(args) -> int:
         "angle_unit": "degrees" if args.degrees else "radians",
         "peak_positions_mhz": list(peaks.positions),
         "central_prominence": peaks.central_prominence,
-        "candidate_stokes": [
-            sop_from_phi(c).stokes().to_json_dict() for c in result.candidates
-        ],
+        "candidate_stokes": [asdict(sop_from_phi(c).stokes()) for c in result.candidates],
     }
     if combined is not None:
         report["combined"] = angles(combined)

@@ -8,6 +8,9 @@ scale, are the dressed-state energies plotted against the phase angle phi.
 
 Basis ordering: r1 substates m = -J..J ascending, then r2 substates
 m = -J'..J' ascending.
+
+The module returns arrays and dataclasses only; the spectrogram and
+envelope tables are formatted and written by the command line (cli).
 """
 
 from __future__ import annotations
@@ -244,35 +247,3 @@ def envelopes_approx(phi: float) -> EnvelopePair:
     outer = 2.0 * math.sqrt(3.0) / 5.0 + 2.0 * (math.sqrt(5.0) - math.sqrt(3.0)) / 5.0 * s
     inner = math.sqrt(2.0) / 5.0 * (2.0 - s * s)
     return EnvelopePair(outer, -outer, inner, -inner)
-
-
-def write_spectrogram_csv(path, spectra: list) -> None:
-    with open(path, "w") as fh:
-        fh.write("phi,band_index,eigenvalue\n")
-        for spec in spectra:
-            for k, ev in enumerate(spec.eigenvalues):
-                fh.write("%.9g,%d,%.9g\n" % (spec.phi, k, float(ev)))
-
-
-def spectrogram_json_dict(spectra: list) -> dict:
-    return {
-        "phi": [s.phi for s in spectra],
-        "eigenvalues": [[float(v) for v in s.eigenvalues] for s in spectra],
-    }
-
-
-def write_envelopes_csv(path, phi_grid, exact: bool = True,
-                        degrees: bool = False) -> None:
-    """Envelope table over a radian phi grid; the phi column is written in
-    degrees when `degrees` is set."""
-    fn = envelopes_exact if exact else envelopes_approx
-    kind = "exact" if exact else "approx"
-    with open(path, "w") as fh:
-        fh.write("phi,eo_plus,eo_minus,ei_plus,ei_minus,exact_or_approx\n")
-        for phi in phi_grid:
-            e = fn(float(phi))
-            fh.write(
-                "%.9g,%.9g,%.9g,%.9g,%.9g,%s\n"
-                % (math.degrees(phi) if degrees else phi,
-                   e.outer_plus, e.outer_minus, e.inner_plus, e.inner_minus, kind)
-            )

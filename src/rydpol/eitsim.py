@@ -17,6 +17,10 @@ that also yields the dark steady state (_poles, eit_spectrum).
 
 All rates and detunings are in MHz (angular frequency units absorbed into
 the Rabi conventions).
+
+The module returns arrays and dataclasses; the command line (cli) formats
+every output but one.  write_spectrogram_csv stays here as the EIT table's
+writer because the benchmark in perfbench/ traces it by this name.
 """
 
 from __future__ import annotations
@@ -401,7 +405,8 @@ def eit_spectrum(scheme: LevelScheme, params: SimParams, sop: RfSop | float) -> 
     from one real reduction and one real eigendecomposition per SOP
     (_poles).  No linear system is solved per detuning and no density
     matrix is formed.  steady_state and probe_absorption stay the dense
-    reference that this is tested against.
+    reference that this is tested against.  LinAlgError if the reduction
+    or the response is not finite.
     """
     if not isinstance(sop, RfSop):
         sop = sop_from_phi(float(sop))
@@ -409,7 +414,12 @@ def eit_spectrum(scheme: LevelScheme, params: SimParams, sop: RfSop | float) -> 
     L = liouvillian(build_hamiltonian(scheme, params, sop, 0.0),
                     collapse_operators(scheme, params))
     lam, c = _poles(L, scheme.offsets()["r1"], _probe_row(scheme, params.optics))
-    response = -np.imag((1.0 / (grid[:, None] + lam)) @ c)
+    # a pole on the grid (a vanishing decay rate) is reported by the
+    # finiteness check, not as warnings
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        response = -np.imag((1.0 / (grid[:, None] + lam)) @ c)
+    if not np.all(np.isfinite(response)):
+        raise np.linalg.LinAlgError("EIT response is not finite")
     return EitSpectrum(sop.phi, grid, np.clip(response, 0.0, None))
 
 
@@ -444,21 +454,17 @@ def write_spectrogram_csv(path, spg: EitSpectrogram) -> None:
                 fh.write("%.9g,%.9g,%.9g\n" % (phi, dc, spg.response[i, j]))
 
 
-def spectrogram_json_dict(spg: EitSpectrogram) -> dict:
-    return {
-        "phi": [float(v) for v in spg.phi_grid],
-        "delta_c_mhz": [float(v) for v in spg.detuning_mhz],
-        "response": [[float(v) for v in row] for row in spg.response],
-    }
-
-
 def _grid(spec) -> np.ndarray:
     """A {"start", "stop", "steps"} range or a list of values; ValueError
-    unless it is non-empty and finite."""
+    unless it is one of those, non-empty and finite.  A string is not a
+    list: "12" would otherwise read as the grid [1, 2]."""
     if isinstance(spec, dict):
         grid = np.linspace(spec["start"], spec["stop"], integral(spec["steps"], "steps"))
-    else:
+    elif isinstance(spec, list):
         grid = np.asarray([float(v) for v in spec])
+    else:
+        raise ValueError("grid must be a {start, stop, steps} object or a list, got %r"
+                         % (spec,))
     if grid.size == 0 or not np.all(np.isfinite(grid)):
         raise ValueError("grid must be a non-empty list of finite values")
     return grid

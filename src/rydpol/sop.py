@@ -39,9 +39,6 @@ class StokesVector:
     s2: float
     s3: float
 
-    def to_json_dict(self) -> dict:
-        return {"s1": self.s1, "s2": self.s2, "s3": self.s3}
-
 
 @dataclass(frozen=True)
 class RfSop:

@@ -1,7 +1,9 @@
 import argparse
+import ast
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -273,6 +275,7 @@ class TestEitCommand:
         [1, 2],
         None,
         "x",
+        {"coupling_detuning_grid": "12"},
     ])
     def test_bad_params_invalid_input(self, tmp_path, capsys, params):
         out = tmp_path / "x.csv"
@@ -284,8 +287,8 @@ class TestEitCommand:
 
 
     @pytest.mark.parametrize("phi", [
-        ["nan"], [], {"start": 0, "stop": 1, "steps": 0},
-    ], ids=["nan", "empty", "zero_steps"])
+        ["nan"], [], {"start": 0, "stop": 1, "steps": 0}, "12",
+    ], ids=["nan", "empty", "zero_steps", "string"])
     def test_bad_phi_grid_invalid_input(self, tmp_path, capsys, phi):
         out = tmp_path / "x.csv"
         rc = main(["eit", "--scenario", str(self.scenario(tmp_path, phi=phi)),
@@ -350,18 +353,22 @@ class TestEitCommand:
         assert "optics: %s must be" % field in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("params", [{"omega_coupling": 1e160}, {"omega_probe": 1e-200}],
-                             ids=["omega_coupling_1e160", "omega_probe_1e-200"])
+    @pytest.mark.parametrize("params,message", [
+        ({"omega_coupling": 1e160}, "Schur complement is not finite"),
+        ({"omega_probe": 1e-200}, "Schur complement is not finite"),
+        ({"gamma_r": 1e-300, "coupling_detuning_grid": [-10, 0, 10]},
+         "EIT response is not finite"),
+    ], ids=["omega_coupling_1e160", "omega_probe_1e-200", "gamma_r_1e-300"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_non_finite_reduction_numerical_failure(self, tmp_path, capsys, params):
-        # finite inputs that overflow the Schur complement fail as a
-        # numerical error with a message, not a traceback
-        out = tmp_path / "x.csv"
-        rc = main(["eit", "--scenario", str(self.scenario(tmp_path, params=params)),
-                   "-o", str(out)])
+    def test_non_finite_reduction_numerical_failure(self, tmp_path, capsys, params, message):
+        # finite inputs that overflow the Schur complement, or that put a
+        # pole on the detuning grid, fail as a numerical error with a
+        # message, not a traceback, and write no file
+        scenario = self.scenario(tmp_path, params=params)
+        rc = main(["eit", "--scenario", str(scenario), "-o", str(tmp_path / "x.csv")])
         assert rc == 4
-        assert "Schur complement is not finite" in capsys.readouterr().err
-        assert not out.exists()
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [scenario]
 
 
 class TestInvertCommand:
@@ -768,6 +775,50 @@ def _fresh_interpreter(code):
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     return done.stdout.split()
+
+
+@pytest.mark.parametrize("command", ["spectrogram", "eit"])
+def test_csv_cells_are_json_values(tmp_path, command):
+    # both formats are written from one result: each CSV cell is "%.9g" of
+    # the matching JSON value, and the envelope side file holds the JSON
+    # envelope rows as its columns 2-5
+    if command == "eit":
+        argv = ["eit", "--scenario", str(TestEitCommand().scenario(tmp_path))]
+    else:
+        argv = ["spectrogram", "--J2", "3", "--p", "1", "--phi-steps", "7",
+                "--envelopes", "exact"]
+    table, document = tmp_path / "out.csv", tmp_path / "out.json"
+    assert main(argv + ["-o", str(table)]) == 0
+    assert main(argv + ["--format", "json", "-o", str(document)]) == 0
+    doc = json.loads(document.read_text())
+    if command == "eit":
+        rows = [(phi, dc, v) for phi, row in zip(doc["phi"], doc["response"])
+                for dc, v in zip(doc["delta_c_mhz"], row)]
+    else:
+        rows = [(phi, k, v) for phi, row in zip(doc["phi"], doc["eigenvalues"])
+                for k, v in enumerate(row)]
+        side = [line.split(",") for line in
+                (tmp_path / "out_envelopes.csv").read_text().splitlines()[1:]]
+        assert [r[:5] for r in side] == [["%.9g" % v for v in [phi] + row] for phi, row
+                                         in zip(doc["phi"], doc["envelopes"]["rows"])]
+    cells = [line.split(",") for line in table.read_text().splitlines()[1:]]
+    assert cells == [["%.9g" % v for v in row] for row in rows]
+
+
+def test_only_cli_writes_output():
+    # output formats have one home: open() and json.dump(s) are called in
+    # cli alone, and in eitsim.write_spectrogram_csv, the EIT table writer
+    # that the benchmark traces by name
+    calls = []
+    for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            calls += [(path.stem, getattr(top, "name", None), ast.unparse(node.func))
+                      for node in ast.walk(top) if isinstance(node, ast.Call)
+                      and ast.unparse(node.func) in ("open", "json.dump", "json.dumps")]
+    assert {(module, scope) for module, scope, _ in calls if module != "cli"} == {
+        ("eitsim", "write_spectrogram_csv")}
+    assert [scope for module, scope, func in calls
+            if module == "cli" and func.startswith("json.")] == ["_write_json"]
 
 
 def test_cli_import_leaves_out_slow_scipy_modules():

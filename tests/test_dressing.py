@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -16,10 +17,8 @@ from rydpol.dressing import (
     group_degeneracies,
     oracle_matrix,
     spectrogram,
-    spectrogram_json_dict,
-    write_envelopes_csv,
-    write_spectrogram_csv,
 )
+from rydpol.cli import main
 from oracles import (
     basis,
     closed_form_coupling_matrix,
@@ -219,28 +218,38 @@ class TestEnvelopes:
 
 
 class TestOutputs:
+    """The spectrogram and envelope tables as the command line writes them;
+    the library itself returns arrays only."""
+
     def test_spectrogram_csv(self, tmp_path):
         path = tmp_path / "spg.csv"
-        write_spectrogram_csv(path, spectrogram(HALF_ZERO, [0.0, 1.0]))
+        assert main(["spectrogram", "--J2", "1", "--p", "0", "--phi-stop", "1",
+                     "--phi-steps", "2", "-o", str(path)]) == 0
         lines = path.read_text().splitlines()
         assert lines[0] == "phi,band_index,eigenvalue"
         assert len(lines) == 1 + 2 * HALF_ZERO.dim
 
     def test_csv_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        spectra = spectrogram(FIVE_HALF, np.linspace(0, 6.28, 11))
-        write_spectrogram_csv(a, spectra)
-        write_spectrogram_csv(b, spectra)
+        argv = ["spectrogram", "--J2", "3", "--p", "1", "--phi-stop", "6.28",
+                "--phi-steps", "11"]
+        assert main(argv + ["-o", str(a)]) == 0
+        assert main(argv + ["-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_json_dict(self):
-        doc = spectrogram_json_dict(spectrogram(HALF_ZERO, [0.5]))
-        assert doc["phi"] == [0.5]
-        assert len(doc["eigenvalues"][0]) == 4
+    def test_json_dict(self, tmp_path):
+        path = tmp_path / "spg.json"
+        assert main(["spectrogram", "--J2", "1", "--p", "0", "--phi-start", "0.5",
+                     "--phi-stop", "1.5", "--phi-steps", "2", "--format", "json",
+                     "-o", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        assert doc["phi"] == [0.5, 1.5]
+        assert [len(row) for row in doc["eigenvalues"]] == [4, 4]
 
     def test_envelopes_csv(self, tmp_path):
         path = tmp_path / "env.csv"
-        write_envelopes_csv(path, [0.0, 1.0], exact=False)
+        assert main(["envelopes", "--kind", "approx", "--phi-stop", "1",
+                     "--phi-steps", "2", "-o", str(path)]) == 0
         lines = path.read_text().splitlines()
         assert lines[0] == "phi,eo_plus,eo_minus,ei_plus,ei_minus,exact_or_approx"
         assert lines[1].endswith(",approx")

@@ -4,7 +4,8 @@ Half-integer quantum numbers are stored as doubled integers so that every
 triangle and parity check is integer-exact.  Wigner 3-j and 6-j symbols are
 evaluated with the Racah single-sum formula using exact rational arithmetic
 (python big ints via ``fractions.Fraction``) and converted to float at the
-very end.  Phase conventions follow Condon-Shortley.
+very end.  Phase conventions follow Condon-Shortley.  The command line
+(cli) reads and bounds the outside values it passes in.
 """
 
 from __future__ import annotations
@@ -59,18 +60,6 @@ class HalfInt:
     @property
     def is_integer(self) -> bool:
         return self.twice % 2 == 0
-
-
-def integral(value, name: str) -> int:
-    """value as an int if it is integral (3, 3.0 or "3"); ValueError naming
-    the field otherwise, where int() would truncate 1.5 to 1."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        number = math.nan
-    if not number.is_integer():
-        raise ValueError("%s must be an integer, got %r" % (name, value))
-    return int(number)
 
 
 def _triangle_ok(a2: int, b2: int, c2: int) -> bool:

@@ -9,10 +9,17 @@ invert        recover candidate phase angles from a spectrum file
 wigner        evaluate a single 3-j or 6-j symbol
 roundtrip     eigenvalue-level forward-and-back consistency sweep
 
-This is the one module that formats output: the library returns arrays
-and dataclasses, every table goes through _write_csv and every JSON
-document, the manifest included, through _write_json.  The one exception
-is the EIT table, which eitsim.write_spectrogram_csv writes.  Every run
+This is the one module that reads and formats outside input.  Scenario
+files, spectrum files and flags pass through one set of field readers
+(_number, _integer, _class, _grid, and _numbers for a spectrum's arrays)
+into the typed values the library takes, each with one error wording
+that names the field.  A JSON
+true/false is not a number, a grid is a flat list or a range object of
+at most MAX_GRID_POINTS points, and `wigner` takes |2j| <= MAX_TWICE_J.  On
+the way out, the library returns arrays and dataclasses, every table goes
+through _write_csv and every JSON document, the manifest included,
+through _write_json.  The one exception is the EIT table, which
+eitsim.write_spectrogram_csv writes.  Every run
 that writes files also writes a manifest JSON next to the first output
 recording every parsed argument (input paths made absolute), so a run
 can be reproduced exactly.  Angles are radians unless --degrees is
@@ -43,7 +50,6 @@ from . import __version__
 from .angular import HalfInt, wigner3j, wigner6j
 from .dressing import (
     TransitionClass,
-    class_from_spec,
     envelopes_approx,
     envelopes_exact,
     spectrogram,
@@ -60,12 +66,19 @@ from .inversion import (
     prominence_interval,
     round_trip,
 )
-from .sop import OPTICS_PRESETS, sop_from_phi
+from .sop import OPTICS_PRESETS, OpticalConfig, sop_from_phi
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INVALID = 3
 EXIT_NUMERICAL = 4
+
+# Work bounds at the boundary.  A grid of 10^4 points keeps the largest
+# pole-sum temporary of an EIT spectrum (grid x 192 poles, complex) near
+# 31 MB; the exact Wigner sums grow with j, and at |2j| = 1000 one 6-j
+# symbol takes about 0.2 s.
+MAX_GRID_POINTS = 10_000
+MAX_TWICE_J = 1000
 
 
 class CliError(Exception):
@@ -81,15 +94,75 @@ def _parse_halfint(text: str) -> HalfInt:
             num, den = text.split("/")
             if int(den) != 2:
                 raise ValueError
-            return HalfInt(int(num))
-        return HalfInt.of(float(text))
+            value = HalfInt(int(num))
+        else:
+            value = HalfInt.of(float(text))
     except (ValueError, TypeError, OverflowError):
         raise CliError("%r is not an integer or half-integer" % text)
+    if abs(value.twice) > MAX_TWICE_J:
+        raise CliError("%r is out of range: |2j| must be at most %d" % (text, MAX_TWICE_J))
+    return value
+
+
+def _number(value, name: str) -> float:
+    """value as a float (3, 0.5, "0.5" or "nan"); ValueError naming the
+    field otherwise.  A JSON true/false is not a number."""
+    try:
+        if not isinstance(value, bool):
+            return float(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError("%s must be a number, got %r" % (name, value))
+
+
+def _integer(value, name: str) -> int:
+    """value as an int if it is integral (3, 3.0 or "3"); ValueError naming
+    the field otherwise, where int() would truncate 1.5 to 1.  A JSON
+    true/false is not an integer."""
+    try:
+        number = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not number.is_integer():
+        raise ValueError("%s must be an integer, got %r" % (name, value))
+    return int(number)
+
+
+def _class(spec) -> TransitionClass:
+    """Transition class of a {"J2": 2J, "p": p} mapping, as scenario and
+    spectrum files write it and the --J2/--p flags give it; KeyError for a
+    missing key, ValueError for a non-integral or invalid value."""
+    if not isinstance(spec, dict):
+        raise ValueError('must be an object {"J2": 2J, "p": p}, got %r' % (spec,))
+    return TransitionClass(HalfInt(_integer(spec["J2"], "J2")), _integer(spec["p"], "p"))
+
+
+def _grid(spec) -> np.ndarray:
+    """A {"start", "stop", "steps"} range or a flat list of numbers, of at
+    most MAX_GRID_POINTS points; ValueError unless it is one of those,
+    non-empty and finite.  A string is not a list: "12" would otherwise
+    read as the grid [1, 2]."""
+    if isinstance(spec, dict):
+        start, stop = _number(spec["start"], "start"), _number(spec["stop"], "stop")
+        size = _integer(spec["steps"], "steps")
+    elif isinstance(spec, list):
+        size = len(spec)
+    else:
+        raise ValueError("grid must be a {start, stop, steps} object or a list, got %r"
+                         % (spec,))
+    if size > MAX_GRID_POINTS:  # before anything is allocated
+        raise ValueError("grid must have at most %d points, got %d" % (MAX_GRID_POINTS, size))
+    with np.errstate(invalid="ignore", over="ignore"):  # an infinite start or stop
+        grid = (np.linspace(start, stop, size) if isinstance(spec, dict)
+                else np.asarray([_number(v, "grid entry") for v in spec]))
+    if grid.size == 0 or not np.all(np.isfinite(grid)):
+        raise ValueError("grid must be a non-empty list of finite values")
+    return grid
 
 
 def _transition_class(args) -> TransitionClass:
     try:
-        return TransitionClass(HalfInt(args.J2), args.p)
+        return _class(vars(args))
     except ValueError as exc:
         raise CliError(str(exc))
 
@@ -102,7 +175,10 @@ def _phi_grid(args) -> np.ndarray:
         start, stop = math.radians(start), math.radians(stop)
     if not math.isfinite(stop - start):
         raise CliError("--phi-start to --phi-stop must be a finite span")
-    return np.linspace(start, stop, args.phi_steps)
+    try:
+        return _grid({"start": start, "stop": stop, "steps": args.phi_steps})
+    except ValueError as exc:  # the cap on grid points
+        raise CliError("--phi-steps: %s" % exc)
 
 
 def _check_numbers(args) -> None:
@@ -215,19 +291,96 @@ def _read_json(path, kind):
         raise CliError("invalid JSON in %s: %s" % (path, exc))
 
 
-def cmd_eit(args) -> int:
+def _optics(spec) -> OpticalConfig:
+    """A key of OPTICS_PRESETS or a {"propagation_probe", "propagation_coupling",
+    "pol_probe", "pol_coupling"} object of 3-vectors, a complex entry of a
+    Jones vector written [re, im]."""
+    if isinstance(spec, str):
+        if spec not in OPTICS_PRESETS:
+            raise ValueError("unknown preset %r (choices: %s)"
+                             % (spec, ", ".join(OPTICS_PRESETS)))
+        return OPTICS_PRESETS[spec]()
+    if not isinstance(spec, dict):
+        raise ValueError("must be a preset name or an object of 3-vectors, got %r" % (spec,))
+
+    def vector(key):  # OpticalConfig checks the length, norm and direction
+        if not isinstance(spec[key], list):
+            raise ValueError("%s must be a list of numbers, got %r" % (key, spec[key]))
+        return tuple(complex(*(_number(x, key) for x in v)) if isinstance(v, list)
+                     else _number(v, key) for v in spec[key])
+
+    return OpticalConfig(*map(vector, ("propagation_probe", "propagation_coupling",
+                                       "pol_probe", "pol_coupling")))
+
+
+def _params(spec, optics) -> eitsim.SimParams:
+    """SimParams of a scenario's "params" object with the scenario's optics."""
+    if not isinstance(spec, dict):
+        raise ValueError("must be a JSON object")
+    kwargs = {k: _number(v, k) for k, v in spec.items() if k != "coupling_detuning_grid"}
+    if spec.get("coupling_detuning_grid") is not None:
+        kwargs["coupling_detuning_grid"] = tuple(_grid(spec["coupling_detuning_grid"]))
+    return eitsim.SimParams(optics=optics, **kwargs)
+
+
+def _scenario(args) -> tuple:
+    """(scheme, params, phi_grid) of the --scenario file, with --optics and
+    --third-level read as if the file gave them.
+
+    Schema: {"class": {"J2": int, "p": int}, "coupling_target"?: str,
+    "j_intermediate2"?: int, "third_level"?: {"J2"?: int, "delta3_mhz": float},
+    "params"?: {...}, "optics"?: preset name or {"propagation_probe": [...], ...},
+    "phi"?: {"start":., "stop":., "steps": n} or [values]}
+
+    The scheme is eitsim.scheme_fields(cls, delta3) with only the fields
+    given (coupling_target, j_intermediate2, third_level.J2) replaced; an
+    override can make a scheme valid whose default is not.  The errors of
+    all fields are reported in one message.
+    """
     cfg = _read_json(args.scenario, "scenario")
-    if not isinstance(cfg, dict) or not isinstance(cfg.get("third_level") or {}, dict):
+    third_cfg = cfg.get("third_level") if isinstance(cfg, dict) else None
+    if not isinstance(cfg, dict) or not isinstance(third_cfg or {}, dict):
         raise CliError("%s: scenario and its third_level must be JSON objects" % args.scenario)
-    if args.optics is not None:
-        cfg["optics"] = args.optics
     if args.third_level is not None:
-        cfg["third_level"] = dict(cfg.get("third_level") or {},
-                                  delta3_mhz=args.third_level)
+        third_cfg = dict(third_cfg or {}, delta3_mhz=args.third_level)
+    errors = []
+
+    def read(field, reader):
+        try:
+            return reader()
+        except (KeyError, ValueError, TypeError) as exc:
+            errors.append("%s: %s" % (field, exc))
+
+    cls = read("class", lambda: _class(cfg["class"]))
+    delta3 = third = None
+    if third_cfg:
+        delta3 = read("third_level", lambda: _number(third_cfg["delta3_mhz"], "delta3_mhz"))
+        if delta3 is not None and "J2" in third_cfg:
+            third = read("third_level", lambda: eitsim.ThirdLevel(
+                HalfInt(_integer(third_cfg["J2"], "J2")), delta3))
+    optics = read("optics", lambda: _optics(
+        cfg.get("optics", "standard") if args.optics is None else args.optics))
+    params = read("params", lambda: _params(cfg.get("params", {}),
+                                            optics or _optics("standard")))
+    phi_grid = read("phi", lambda: _grid(
+        cfg.get("phi", {"start": 0.0, "stop": 2 * math.pi, "steps": 32})))
+    if errors:
+        raise CliError("invalid scenario config: " + "; ".join(errors))
+
+    given = {"coupling_target": cfg.get("coupling_target"), "third": third}
     try:
-        scheme, params, phi_grid = eitsim.scenario_from_dict(cfg)
-    except ValueError as exc:
-        raise CliError(str(exc))
+        if cfg.get("j_intermediate2") is not None:
+            given["j_intermediate"] = HalfInt(_integer(cfg["j_intermediate2"],
+                                                       "j_intermediate2"))
+        fields = eitsim.scheme_fields(cls, delta3)
+        fields.update((k, v) for k, v in given.items() if v is not None)
+        return eitsim.LevelScheme(cls, **fields), params, phi_grid
+    except (ValueError, TypeError) as exc:
+        raise CliError("invalid scenario config: %s" % exc)
+
+
+def cmd_eit(args) -> int:
+    scheme, params, phi_grid = _scenario(args)
     try:
         spg = eitsim.eit_spectrogram(scheme, params, phi_grid)
     except np.linalg.LinAlgError as exc:
@@ -238,6 +391,18 @@ def cmd_eit(args) -> int:
     else:
         eitsim.write_spectrogram_csv(args.output, spg)
     return EXIT_OK
+
+
+def _numbers(values, name: str) -> np.ndarray:
+    """values as a float array; inversion.extract_peaks checks the shape and
+    finiteness.  A JSON true/false is not a number: it reads as 1.0 or 0.0,
+    so only the entries that read so are looked at."""
+    array = np.asarray(values, dtype=float)
+    if isinstance(values, list) and array.ndim == 1:
+        suspects = np.flatnonzero((array == 0.0) | (array == 1.0)).tolist()
+        if any(type(values[i]) is bool for i in suspects):
+            raise ValueError("%s holds true or false" % name)
+    return array
 
 
 def _load_spectrum(path: str, config):
@@ -251,14 +416,13 @@ def _load_spectrum(path: str, config):
     if problems:
         raise CliError("%s: %s" % (path, "; ".join(problems)))
     try:
-        cls = class_from_spec(doc["class"])
+        cls = _class(doc["class"])
     except (KeyError, ValueError, TypeError) as exc:
         raise CliError("%s: bad class spec: %s" % (path, exc))
     config_free(cls)  # NotInvertible before any peak error
     try:
-        x = np.asarray(doc["detuning_mhz"], dtype=float)
-        y = np.asarray(doc["amplitude"], dtype=float)
-    except (ValueError, TypeError) as exc:
+        x, y = (_numbers(doc[key], key) for key in ("detuning_mhz", "amplitude"))
+    except (ValueError, TypeError, OverflowError) as exc:
         raise CliError("%s: detuning and amplitude must be numbers: %s" % (path, exc))
     if config is None:
         config = doc.get("config", "standard")

@@ -9,8 +9,9 @@ scale, are the dressed-state energies plotted against the phase angle phi.
 Basis ordering: r1 substates m = -J..J ascending, then r2 substates
 m = -J'..J' ascending.
 
-The module returns arrays and dataclasses only; the spectrogram and
-envelope tables are formatted and written by the command line (cli).
+The module takes typed values and returns arrays and dataclasses only;
+the command line (cli) reads a class from a file or flags, and formats and
+writes the spectrogram and envelope tables.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angular import HalfInt, integral, reduced_coupling_strength, wigner3j
+from .angular import HalfInt, reduced_coupling_strength, wigner3j
 from .sop import RfSop
 
 _SQRT2 = math.sqrt(2.0)
@@ -61,13 +62,6 @@ class TransitionClass:
         num = "%d/2" % self.J.twice if self.J.twice % 2 else "%d" % (self.J.twice // 2)
         sign = {0: "0", 1: "+", -1: "-"}[self.p]
         return "%s^%s" % (num, sign)
-
-
-def class_from_spec(spec) -> TransitionClass:
-    """Transition class of a {"J2": 2J, "p": p} mapping, as scenario and
-    spectrum files write it; KeyError for a missing key, ValueError for a
-    non-integral or invalid value."""
-    return TransitionClass(HalfInt(integral(spec["J2"], "J2")), integral(spec["p"], "p"))
 
 
 EXPERIMENTAL_CLASSES = (

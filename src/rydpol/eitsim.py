@@ -18,9 +18,10 @@ that also yields the dark steady state (_poles, eit_spectrum).
 All rates and detunings are in MHz (angular frequency units absorbed into
 the Rabi conventions).
 
-The module returns arrays and dataclasses; the command line (cli) formats
-every output but one.  write_spectrogram_csv stays here as the EIT table's
-writer because the benchmark in perfbench/ traces it by this name.
+The module keeps only the physics: it takes LevelScheme, SimParams and
+arrays, and returns arrays and dataclasses.  The command line (cli) reads
+the scenario file, with the scheme defaults of scheme_fields, and formats
+every output but one: the benchmark traces write_spectrogram_csv by name.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angular import HalfInt, integral
-from .dressing import TransitionClass, class_from_spec, dipole_block, oracle_scale, rf_block
-from .sop import OpticalConfig, OPTICS_PRESETS, RfSop, sop_from_phi, standard_optics
+from .angular import HalfInt
+from .dressing import TransitionClass, dipole_block, oracle_scale, rf_block
+from .sop import OpticalConfig, RfSop, sop_from_phi, standard_optics
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,7 @@ class LevelScheme:
         return out
 
 
-def _scheme_fields(cls: TransitionClass, third_delta3_mhz: float | None) -> dict:
+def scheme_fields(cls: TransitionClass, third_delta3_mhz: float | None) -> dict:
     """The one home of the scheme defaults: J_i = 3/2; J=1/2 classes are
     laser-probed on r1 (S-state), the others on r2 (D-state); a third level
     sits at J3 = J + 1, one fine-structure partner up (the D5/2 next to a
@@ -109,7 +110,7 @@ def _scheme_fields(cls: TransitionClass, third_delta3_mhz: float | None) -> dict
 def scheme_for_class(cls: TransitionClass,
                      third_delta3_mhz: float | None = None) -> LevelScheme:
     """Experiment-matching scheme of a class, with the defaults above."""
-    return LevelScheme(cls, **_scheme_fields(cls, third_delta3_mhz))
+    return LevelScheme(cls, **scheme_fields(cls, third_delta3_mhz))
 
 
 @dataclass(frozen=True)
@@ -383,9 +384,7 @@ def _poles(L: np.ndarray, m: int, w: np.ndarray) -> tuple:
     A_PQ = A[np.ix_(p, q)]
     sol = np.linalg.solve(A[np.ix_(q, q)], np.column_stack((b[q], A[np.ix_(q, p)])))
     x0, G = sol[:, 0], sol[:, 1:]
-    # an overflow here is reported by the finiteness check, not as warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        S = A[np.ix_(p, p)] - A_PQ @ G
+    S = A[np.ix_(p, p)] - A_PQ @ G
     M = d[p, None] * S[twin]
     if not np.all(np.isfinite(M)):
         raise np.linalg.LinAlgError("Schur complement is not finite")
@@ -411,12 +410,13 @@ def eit_spectrum(scheme: LevelScheme, params: SimParams, sop: RfSop | float) -> 
     if not isinstance(sop, RfSop):
         sop = sop_from_phi(float(sop))
     grid = np.asarray(params.coupling_detuning_grid, dtype=float)
-    L = liouvillian(build_hamiltonian(scheme, params, sop, 0.0),
-                    collapse_operators(scheme, params))
-    lam, c = _poles(L, scheme.offsets()["r1"], _probe_row(scheme, params.optics))
-    # a pole on the grid (a vanishing decay rate) is reported by the
-    # finiteness check, not as warnings
+    # finite parameters so large that H or L overflows, or a pole on the
+    # grid (a vanishing decay rate), are reported by the finiteness checks
+    # (or by the LinAlgError of a solve), not as warnings
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        L = liouvillian(build_hamiltonian(scheme, params, sop, 0.0),
+                        collapse_operators(scheme, params))
+        lam, c = _poles(L, scheme.offsets()["r1"], _probe_row(scheme, params.optics))
         response = -np.imag((1.0 / (grid[:, None] + lam)) @ c)
     if not np.all(np.isfinite(response)):
         raise np.linalg.LinAlgError("EIT response is not finite")
@@ -452,99 +452,3 @@ def write_spectrogram_csv(path, spg: EitSpectrogram) -> None:
         for i, phi in enumerate(spg.phi_grid):
             for j, dc in enumerate(spg.detuning_mhz):
                 fh.write("%.9g,%.9g,%.9g\n" % (phi, dc, spg.response[i, j]))
-
-
-def _grid(spec) -> np.ndarray:
-    """A {"start", "stop", "steps"} range or a list of values; ValueError
-    unless it is one of those, non-empty and finite.  A string is not a
-    list: "12" would otherwise read as the grid [1, 2]."""
-    if isinstance(spec, dict):
-        grid = np.linspace(spec["start"], spec["stop"], integral(spec["steps"], "steps"))
-    elif isinstance(spec, list):
-        grid = np.asarray([float(v) for v in spec])
-    else:
-        raise ValueError("grid must be a {start, stop, steps} object or a list, got %r"
-                         % (spec,))
-    if grid.size == 0 or not np.all(np.isfinite(grid)):
-        raise ValueError("grid must be a non-empty list of finite values")
-    return grid
-
-
-def scenario_from_dict(cfg: dict) -> tuple:
-    """Parse a scenario config into (scheme, params, phi_grid).
-
-    Schema: {"class": {"J2": int, "p": int}, "coupling_target"?: str,
-    "j_intermediate2"?: int, "third_level"?: {"J2"?: int, "delta3_mhz": float},
-    "params"?: {...}, "optics"?: preset name or {"propagation_probe": [...], ...},
-    "phi"?: {"start":., "stop":., "steps": n} or [values]}
-
-    The scheme is scheme_for_class(cls, delta3) with only the fields given
-    (coupling_target, j_intermediate2, third_level.J2) replaced; an
-    override can make a scheme valid whose default is not.
-    """
-    errors = []
-    try:
-        cls = class_from_spec(cfg["class"])
-    except (KeyError, ValueError, TypeError) as exc:
-        errors.append("class: %s" % exc)
-        cls = None
-
-    third_cfg = cfg.get("third_level")
-    delta3 = third = None
-    if third_cfg:
-        try:
-            delta3 = float(third_cfg["delta3_mhz"])
-            if "J2" in third_cfg:
-                third = ThirdLevel(HalfInt(integral(third_cfg["J2"], "J2")), delta3)
-        except (KeyError, ValueError, TypeError) as exc:
-            errors.append("third_level: %s" % exc)
-
-    optics_cfg = cfg.get("optics", "standard")
-    try:
-        if isinstance(optics_cfg, str):
-            if optics_cfg not in OPTICS_PRESETS:
-                raise ValueError("unknown preset %r (choices: %s)"
-                                 % (optics_cfg, ", ".join(OPTICS_PRESETS)))
-            optics = OPTICS_PRESETS[optics_cfg]()
-        else:
-            optics = OpticalConfig(
-                tuple(optics_cfg["propagation_probe"]),
-                tuple(optics_cfg["propagation_coupling"]),
-                tuple(complex(*v) if isinstance(v, list) else v for v in optics_cfg["pol_probe"]),
-                tuple(complex(*v) if isinstance(v, list) else v for v in optics_cfg["pol_coupling"]),
-            )
-    except (KeyError, ValueError, TypeError) as exc:
-        errors.append("optics: %s" % exc)
-        optics = standard_optics()
-
-    try:
-        p = cfg.get("params", {})
-        if not isinstance(p, dict):
-            raise ValueError("must be a JSON object")
-        kwargs = {k: float(v) for k, v in p.items() if k != "coupling_detuning_grid"}
-        if p.get("coupling_detuning_grid") is not None:
-            kwargs["coupling_detuning_grid"] = tuple(_grid(p["coupling_detuning_grid"]))
-        params = SimParams(optics=optics, **kwargs)
-    except (KeyError, ValueError, TypeError) as exc:
-        errors.append("params: %s" % exc)
-        params = None
-
-    try:
-        phi_grid = _grid(cfg.get("phi", {"start": 0.0, "stop": 2 * math.pi, "steps": 32}))
-    except (KeyError, ValueError, TypeError) as exc:
-        errors.append("phi: %s" % exc)
-        phi_grid = None
-
-    if errors:
-        raise ValueError("invalid scenario config: " + "; ".join(errors))
-
-    given = {"coupling_target": cfg.get("coupling_target"), "third": third}
-    try:
-        if cfg.get("j_intermediate2") is not None:
-            given["j_intermediate"] = HalfInt(integral(cfg["j_intermediate2"], "j_intermediate2"))
-        fields = _scheme_fields(cls, delta3)
-        fields.update((k, v) for k, v in given.items() if v is not None)
-        scheme = LevelScheme(cls, **fields)
-    except (ValueError, TypeError) as exc:
-        raise ValueError("invalid scenario config: %s" % exc)
-    return scheme, params, phi_grid

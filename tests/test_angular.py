@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from oracles import dipole_angular_factor, dipole_angular_factor_generic, orbital_angular_momentum
 from rydpol.angular import (
     HalfInt,
-    integral,
     reduced_coupling_strength,
     wigner3j,
     wigner6j,
@@ -44,17 +43,6 @@ class TestHalfInt:
     def test_repr(self):
         assert repr(HalfInt(3)) == "HalfInt(3/2)"
         assert repr(HalfInt(4)) == "HalfInt(2)"
-
-
-class TestIntegral:
-    @pytest.mark.parametrize("value,expect", [(3, 3), (3.0, 3), ("-2", -2), (True, 1)])
-    def test_integral_values(self, value, expect):
-        assert integral(value, "n") == expect
-
-    @pytest.mark.parametrize("value", [1.5, 3.7, "1.5", "x", None, [1], math.nan, math.inf])
-    def test_rejects_non_integral(self, value):
-        with pytest.raises(ValueError, match="n must be an integer"):
-            integral(value, "n")
 
 
 class TestWigner3j:

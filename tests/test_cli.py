@@ -1,19 +1,30 @@
 import argparse
 import ast
+import contextlib
+import io
+import itertools
 import json
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rydpol
 from rydpol import cli
 from rydpol.cli import main
+from rydpol.angular import HalfInt
 from rydpol.dressing import TransitionClass, eigen_spectrum
+from rydpol.sop import rotated_circular_optics
+
+HALF_ZERO = TransitionClass.of(0.5, 0)
+FIVE_HALF = TransitionClass.of(1.5, 1)
 
 
 def lorentzian_spectrum(cls, phi, omega_rf=40.0, width=1.0, n=1601, span=65.0):
@@ -34,6 +45,160 @@ def write_spectrum(path, cls, phi, config="standard"):
         "config": config,
     }
     path.write_text(json.dumps(doc))
+
+
+class TestIntegral:
+    @pytest.mark.parametrize("value,expect", [(3, 3), (3.0, 3), ("-2", -2)])
+    def test_integral_values(self, value, expect):
+        assert cli._integer(value, "n") == expect
+
+    @pytest.mark.parametrize("value", [1.5, 3.7, "1.5", "x", None, [1], math.nan, math.inf,
+                                       True, False])
+    def test_rejects_non_integral(self, value):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            cli._integer(value, "n")
+
+
+def read_scenario(tmp_path, cfg, *flags):
+    """cli._scenario of cfg written as a scenario file, with eit flags."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(cfg))
+    return cli._scenario(cli.build_parser().parse_args(
+        ["eit", "--scenario", str(path), "-o", "x.csv", *flags]))
+
+
+class TestScenarioParsing:
+    def test_minimal(self, tmp_path):
+        scheme, params, grid = read_scenario(tmp_path, {"class": {"J2": 1, "p": 0}})
+        assert scheme.cls == HALF_ZERO
+        assert params.omega_rf == 40.0
+        assert len(grid) == 32
+
+    def test_full(self, tmp_path):
+        cfg = {
+            "class": {"J2": 3, "p": 1},
+            "third_level": {"J2": 5, "delta3_mhz": 150.0},
+            "optics": "rotated_circular",
+            "params": {
+                "omega_rf": 20.0,
+                "coupling_detuning_grid": {"start": -30, "stop": 30, "steps": 61},
+            },
+            "phi": [0.5, 1.5],
+        }
+        scheme, params, grid = read_scenario(tmp_path, cfg)
+        assert scheme.third.delta3_mhz == 150.0
+        assert params.omega_rf == 20.0
+        assert params.optics.name == rotated_circular_optics().name
+        assert len(params.coupling_detuning_grid) == 61
+        assert list(grid) == [0.5, 1.5]
+
+    def test_errors_reported_together(self, tmp_path):
+        cfg = {
+            "class": {"J2": 0, "p": 0},
+            "third_level": {"J2": 5, "delta3_mhz": -4},
+            "optics": "bogus",
+            "params": {"omega_rf": "fast"},
+            "phi": {"start": 0},
+        }
+        with pytest.raises(cli.CliError) as err:
+            read_scenario(tmp_path, cfg)
+        msg = str(err.value)
+        for part in ("class:", "third_level:", "optics:", "params:", "phi:"):
+            assert part in msg
+
+    def test_explicit_target(self, tmp_path):
+        scheme, _, _ = read_scenario(
+            tmp_path, {"class": {"J2": 3, "p": 1}, "coupling_target": "r1"}
+        )
+        assert scheme.coupling_target == "r1"
+
+    @pytest.mark.parametrize("extra,target,j_i2,j3_2", [
+        ({"class": {"J2": 3, "p": 0}, "j_intermediate2": 1}, "r2", 1, None),
+        ({"third_level": {"delta3_mhz": 100.0}}, "r2", 3, 5),
+        ({"coupling_target": "r1", "third_level": {"delta3_mhz": 100.0}}, "r1", 3, 5),
+    ], ids=["j_intermediate", "third_default_j3", "target_and_third"])
+    def test_overrides_only_given_fields(self, tmp_path, extra, target, j_i2, j3_2):
+        scheme, _, _ = read_scenario(tmp_path, dict({"class": {"J2": 3, "p": 1}}, **extra))
+        assert scheme.coupling_target == target
+        assert scheme.j_intermediate == HalfInt(j_i2)
+        assert (scheme.third and scheme.third.j3.twice) == j3_2
+
+    @pytest.mark.parametrize("cfg,field", [
+        ({"class": {"J2": 1.5, "p": 0}}, "class: J2 must be an integer"),
+        ({"class": {"J2": 1, "p": 0.5}}, "class: p must be an integer"),
+        ({"class": {"J2": 1, "p": 0}, "j_intermediate2": 1.5},
+         "j_intermediate2 must be an integer"),
+        ({"class": {"J2": 3, "p": 1}, "third_level": {"J2": 4.5, "delta3_mhz": 100}},
+         "third_level: J2 must be an integer"),
+        ({"class": {"J2": 1, "p": 0}, "phi": {"start": 0, "stop": 1, "steps": 2.5}},
+         "phi: steps must be an integer"),
+        ({"class": {"J2": 1, "p": 0}, "phi": [0.5, "inf"]}, "phi: grid must be"),
+        ({"class": {"J2": 1, "p": 0},
+          "params": {"coupling_detuning_grid": {"start": 0, "stop": 1, "steps": 0}}},
+         "params: grid must be"),
+        # a JSON true/false is not a number
+        ({"class": {"J2": True, "p": 0}}, "class: J2 must be an integer, got True"),
+        ({"class": {"J2": 1, "p": False}}, "class: p must be an integer, got False"),
+        ({"class": {"J2": 1, "p": 0}, "j_intermediate2": True},
+         "j_intermediate2 must be an integer, got True"),
+        ({"class": {"J2": 3, "p": 1}, "third_level": {"J2": True, "delta3_mhz": 100}},
+         "third_level: J2 must be an integer, got True"),
+        ({"class": {"J2": 3, "p": 1}, "third_level": {"delta3_mhz": True}},
+         "third_level: delta3_mhz must be a number, got True"),
+        ({"class": {"J2": 1, "p": 0}, "params": {"omega_rf": True}},
+         "params: omega_rf must be a number, got True"),
+        ({"class": {"J2": 1, "p": 0}, "phi": [True, 2]},
+         "phi: grid entry must be a number, got True"),
+        ({"class": {"J2": 1, "p": 0}, "phi": {"start": False, "stop": 1, "steps": 2}},
+         "phi: start must be a number, got False"),
+        ({"class": {"J2": 1, "p": 0}, "phi": {"start": 0, "stop": 1, "steps": True}},
+         "phi: steps must be an integer, got True"),
+        ({"class": {"J2": 1, "p": 0}, "params": {"coupling_detuning_grid": [0, False]}},
+         "params: grid entry must be a number, got False"),
+        # a grid is flat, and its fields name themselves
+        ({"class": {"J2": 1, "p": 0}, "phi": {"start": [1], "stop": 1, "steps": 2}},
+         r"phi: start must be a number, got \[1\]"),
+        ({"class": {"J2": 1, "p": 0}, "phi": {"start": 0, "stop": [[1]], "steps": 2}},
+         r"phi: stop must be a number, got \[\[1\]\]"),
+        ({"class": {"J2": 1, "p": 0}, "phi": [[1], 2]},
+         r"phi: grid entry must be a number, got \[1\]"),
+        ({"class": {"J2": 1, "p": 0}, "phi": {"start": "nan", "stop": 1, "steps": 2}},
+         "phi: grid must be a non-empty list of finite values"),
+        ({"class": [1, 0]}, r'class: must be an object \{"J2": 2J, "p": p\}, got \[1, 0\]'),
+        ({"class": {"J2": 1, "p": 0}, "optics": 5},
+         "optics: must be a preset name or an object of 3-vectors, got 5"),
+        ({"class": {"J2": 1, "p": 0}, "params": {"omega_rf": 10 ** 400}},
+         "params: omega_rf must be a number, got 1000"),
+        # the work is bounded before anything is allocated
+        ({"class": {"J2": 1, "p": 0}, "phi": {"start": 0, "stop": 1, "steps": 1e15}},
+         "phi: grid must have at most 10000 points, got 1000000000000000"),
+        ({"class": {"J2": 1, "p": 0},
+          "params": {"coupling_detuning_grid": {"start": 0, "stop": 1, "steps": 10001}}},
+         "params: grid must have at most 10000 points, got 10001"),
+    ], ids=["J2", "p", "j_intermediate2", "third_J2", "phi_steps", "phi_inf", "detuning_empty",
+            "J2_true", "p_false", "j_intermediate2_true", "third_J2_true",
+            "third_delta3_true", "omega_rf_true", "phi_entry_true", "phi_start_false",
+            "phi_steps_true", "detuning_entry_false", "phi_start_list", "phi_stop_nested",
+            "phi_entry_list", "phi_start_nan", "class_list", "optics_number",
+            "omega_rf_overflow", "phi_steps_1e15", "detuning_steps_over_cap"])
+    def test_non_integral_or_bad_grid_rejected(self, tmp_path, cfg, field):
+        with pytest.raises(cli.CliError, match=field):
+            read_scenario(tmp_path, cfg)
+
+    def test_integral_floats_accepted(self, tmp_path):
+        scheme, _, grid = read_scenario(tmp_path, {
+            "class": {"J2": 3.0, "p": 1.0}, "j_intermediate2": 3.0,
+            "phi": {"start": 0, "stop": 1, "steps": 4.0},
+        })
+        assert scheme.cls == FIVE_HALF and len(grid) == 4
+
+    @pytest.mark.parametrize("third", [
+        {"J2": 5, "delta3_mhz": "inf"},
+        {"delta3_mhz": "nan"},
+    ], ids=["explicit_j3_inf", "default_j3_nan"])
+    def test_non_finite_delta3_rejected(self, tmp_path, third):
+        with pytest.raises(cli.CliError, match="delta3 must be finite and positive"):
+            read_scenario(tmp_path, {"class": {"J2": 3, "p": 1}, "third_level": third})
 
 
 class TestSpectrogramCommand:
@@ -137,11 +302,12 @@ class TestSpectrogramCommand:
         ("--phi-stop must be finite", ["--phi-stop", "inf"]),
         ("--phi-start must be finite", ["--phi-start=-inf", "--degrees"]),
         ("must be a finite span", ["--phi-start=-1e308", "--phi-stop", "1e308"]),
-    ], ids=["start_nan", "stop_inf", "start_-inf_degrees", "span_overflow"])
+        ("grid must have at most 10000 points", ["--phi-steps", "1000000000000000"]),
+    ], ids=["start_nan", "stop_inf", "start_-inf_degrees", "span_overflow", "steps_over_cap"])
     def test_non_finite_phi_bound_invalid_input(self, tmp_path, capsys, command, message,
                                                 bound):
         out = tmp_path / "x.csv"
-        rc = main(command + bound + ["--phi-steps", "3", "-o", str(out)])
+        rc = main(command + ["--phi-steps", "3"] + bound + ["-o", str(out)])
         assert rc == 3
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
@@ -276,6 +442,9 @@ class TestEitCommand:
         None,
         "x",
         {"coupling_detuning_grid": "12"},
+        {"omega_rf": True},
+        {"coupling_detuning_grid": [[0], 1]},
+        {"coupling_detuning_grid": {"start": 0, "stop": 1, "steps": 1e15}},
     ])
     def test_bad_params_invalid_input(self, tmp_path, capsys, params):
         out = tmp_path / "x.csv"
@@ -287,8 +456,10 @@ class TestEitCommand:
 
 
     @pytest.mark.parametrize("phi", [
-        ["nan"], [], {"start": 0, "stop": 1, "steps": 0}, "12",
-    ], ids=["nan", "empty", "zero_steps", "string"])
+        ["nan"], [], {"start": 0, "stop": 1, "steps": 0}, "12", [True, 2], [[1], 2],
+        {"start": [1], "stop": 1, "steps": 2}, {"start": 0, "stop": 1, "steps": 1e15},
+    ], ids=["nan", "empty", "zero_steps", "string", "bool", "nested", "start_list",
+            "steps_1e15"])
     def test_bad_phi_grid_invalid_input(self, tmp_path, capsys, phi):
         out = tmp_path / "x.csv"
         rc = main(["eit", "--scenario", str(self.scenario(tmp_path, phi=phi)),
@@ -420,6 +591,11 @@ class TestInvertCommand:
         (list(range(8)), [0.0] * 7, "bad.json: detuning and amplitude must be equal-length 1-D"),
         (list(range(241)), [1e308] * 120 + [-1e308] * 121,
          "bad.json: amplitude range must be finite"),
+        (list(range(8)), [0, 1, True, 0, 1, 0, 1, 0],
+         "bad.json: detuning and amplitude must be numbers: amplitude holds true or false"),
+        ([False] + list(range(1, 8)), [0, 1, 0, 1, 0, 1, 0, 1],
+         "bad.json: detuning and amplitude must be numbers: detuning_mhz holds true or false"),
+        (list(range(8)), [10 ** 400] + [0] * 7, "bad.json: detuning and amplitude must be numbers"),
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_spectrum_invalid_input(self, tmp_path, capsys, x, y, message):
@@ -590,13 +766,21 @@ class TestWignerCommand:
         rc = main(["wigner", "--symbol", "3j", "1", "1", "x", "0", "0", "0"])
         assert rc == 3
 
-    @pytest.mark.parametrize("value", ["inf", "Infinity", "1e400"])
-    def test_overflowing_value_invalid_input(self, capsys, value):
-        rc = main(["wigner", "--symbol", "3j", value, "1", "1", "0", "0", "0"])
+    @pytest.mark.parametrize("value,message", [
+        ("inf", "is not an integer or half-integer"),
+        ("Infinity", "is not an integer or half-integer"),
+        ("1e400", "is not an integer or half-integer"),
+        # the exact sums grow with j: the cap rejects before any summation
+        ("100000000", "is out of range: |2j| must be at most 1000"),
+        ("1001/2", "is out of range: |2j| must be at most 1000"),
+        ("-500.5", "is out of range: |2j| must be at most 1000"),
+    ], ids=["inf", "Infinity", "1e400", "j_1e8", "j_1001/2", "j_-500.5"])
+    def test_overflowing_value_invalid_input(self, capsys, value, message):
+        rc = main(["wigner", "--symbol", "3j", value, "1", value, "0", "0", "0"])
         assert rc == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: %r is not an integer or half-integer\n" % value
+        assert captured.err == "error: %r %s\n" % (value, message)
 
 
 class TestRoundtripCommand:
@@ -882,3 +1066,99 @@ def test_module_exit_status_reaches_shell(tmp_path):
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == code, (argv, done.stderr)
         assert named is None or named in done.stderr, (argv, done.stderr)
+
+
+# The exit-code contract as a property: a valid input with one field
+# replaced by a wrong type, a boolean, a string, NaN/inf, a nested list, an
+# empty value or a size that fails before anything is built.  The (field,
+# value) pairs are few enough to run them all.
+BAD_VALUES = [
+    True, False, None, "", "x", "12", "nan", [], {}, [[1]], [1, [2]], {"J2": 1},
+    math.nan, math.inf, -math.inf, -1, 0, 1, 1.5, 1e15, -1e15, 1e308, -1e308, 10 ** 400,
+]
+# the words in which a library invariant names a file's field
+FIELD_WORDS = {"J2": ("2*J",), "j_intermediate2": ("j_intermediate",),
+               "detuning_mhz": ("detuning",)}
+
+
+def mutated(doc, path, value):
+    """A copy of doc with the field at path set to value."""
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+def run_mutated(doc, path, command, output):
+    """main on command plus doc written to a file; the exit code and, for
+    exit 0, the output's text.  A nonzero exit must leave only the input,
+    and an exit 3 must name a field on the mutated path."""
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, "input.json"), "w") as fh:
+            json.dump(doc, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(command + [fh.name, "-o", os.path.join(tmp, output)])
+        assert rc in (0, 3, 4), (rc, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if rc == 3:
+            words = [w for key in path if isinstance(key, str)
+                     for w in (key,) + FIELD_WORDS.get(key, ())]
+            assert any(w in err.getvalue() for w in words), (path, err.getvalue())
+        if rc != 0:
+            assert os.listdir(tmp) == ["input.json"], rc
+            return rc, None
+        with open(os.path.join(tmp, output)) as fh:
+            return rc, fh.read()
+
+
+def not_finite(constant):
+    # json writes a non-finite float as NaN, Infinity or -Infinity
+    raise AssertionError("%s in the output" % constant)
+
+
+EIT_SCENARIO = {
+    "class": {"J2": 1, "p": 0}, "coupling_target": "r1", "j_intermediate2": 3,
+    "third_level": {"J2": 3, "delta3_mhz": 100.0}, "optics": "standard",
+    "params": {"omega_rf": 40.0, "omega_coupling": 4.0, "gamma_r": 0.1,
+               "coupling_detuning_grid": {"start": -50, "stop": 50, "steps": 11}},
+    "phi": [0.5, 2.0],
+}
+EIT_PATHS = [("class",), ("class", "J2"), ("class", "p"), ("coupling_target",),
+             ("j_intermediate2",), ("third_level",), ("third_level", "J2"),
+             ("third_level", "delta3_mhz"), ("optics",), ("params",),
+             ("params", "omega_rf"), ("params", "omega_coupling"), ("params", "gamma_r"),
+             ("params", "coupling_detuning_grid"),
+             ("params", "coupling_detuning_grid", "start"),
+             ("params", "coupling_detuning_grid", "steps"), ("phi",), ("phi", 1)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=st.sampled_from(list(itertools.product(EIT_PATHS, BAD_VALUES))))
+def test_eit_exit_code_contract(case):
+    path, value = case
+    rc, text = run_mutated(mutated(EIT_SCENARIO, path, value), path,
+                           ["eit", "--scenario"], "out.csv")
+    if rc == 0:
+        cells = [float(cell) for line in text.splitlines()[1:] for cell in line.split(",")]
+        assert np.all(np.isfinite(cells))
+
+
+SPECTRUM = {"detuning_mhz": list(np.linspace(-65, 65, 131)),
+            "amplitude": list(lorentzian_spectrum(HALF_ZERO, 0.6, n=131)[1]),
+            "class": {"J2": 1, "p": 0}, "config": "standard"}
+SPECTRUM_PATHS = [("detuning_mhz",), ("detuning_mhz", 0), ("detuning_mhz", 70),
+                  ("amplitude",), ("amplitude", 0), ("amplitude", 64), ("class",),
+                  ("class", "J2"), ("class", "p"), ("config",)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.sampled_from(list(itertools.product(SPECTRUM_PATHS, BAD_VALUES))))
+def test_invert_exit_code_contract(case):
+    path, value = case
+    rc, text = run_mutated(mutated(SPECTRUM, path, value), path,
+                           ["invert", "--input"], "report.json")
+    if rc == 0:
+        json.loads(text, parse_constant=not_finite)

@@ -21,7 +21,6 @@ from rydpol.eitsim import (
     lindblad_residual,
     liouvillian,
     probe_absorption,
-    scenario_from_dict,
     scheme_for_class,
     steady_state,
     third_level_sweep,
@@ -537,92 +536,3 @@ class TestThirdLevel:
         b = eit_spectrum(s3, p, 1.2).response
         assert np.max(np.abs(a - b)) < 1e-5
 
-
-class TestScenarioParsing:
-    def test_minimal(self):
-        scheme, params, grid = scenario_from_dict({"class": {"J2": 1, "p": 0}})
-        assert scheme.cls == HALF_ZERO
-        assert params.omega_rf == 40.0
-        assert len(grid) == 32
-
-    def test_full(self):
-        cfg = {
-            "class": {"J2": 3, "p": 1},
-            "third_level": {"J2": 5, "delta3_mhz": 150.0},
-            "optics": "rotated_circular",
-            "params": {
-                "omega_rf": 20.0,
-                "coupling_detuning_grid": {"start": -30, "stop": 30, "steps": 61},
-            },
-            "phi": [0.5, 1.5],
-        }
-        scheme, params, grid = scenario_from_dict(cfg)
-        assert scheme.third.delta3_mhz == 150.0
-        assert params.omega_rf == 20.0
-        assert params.optics.name == rotated_circular_optics().name
-        assert len(params.coupling_detuning_grid) == 61
-        assert list(grid) == [0.5, 1.5]
-
-    def test_errors_reported_together(self):
-        cfg = {
-            "class": {"J2": 0, "p": 0},
-            "third_level": {"J2": 5, "delta3_mhz": -4},
-            "optics": "bogus",
-            "params": {"omega_rf": "fast"},
-            "phi": {"start": 0},
-        }
-        with pytest.raises(ValueError) as err:
-            scenario_from_dict(cfg)
-        msg = str(err.value)
-        for part in ("class:", "third_level:", "optics:", "params:", "phi:"):
-            assert part in msg
-
-    def test_explicit_target(self):
-        scheme, _, _ = scenario_from_dict(
-            {"class": {"J2": 3, "p": 1}, "coupling_target": "r1"}
-        )
-        assert scheme.coupling_target == "r1"
-
-    @pytest.mark.parametrize("extra,target,j_i2,j3_2", [
-        ({"class": {"J2": 3, "p": 0}, "j_intermediate2": 1}, "r2", 1, None),
-        ({"third_level": {"delta3_mhz": 100.0}}, "r2", 3, 5),
-        ({"coupling_target": "r1", "third_level": {"delta3_mhz": 100.0}}, "r1", 3, 5),
-    ], ids=["j_intermediate", "third_default_j3", "target_and_third"])
-    def test_overrides_only_given_fields(self, extra, target, j_i2, j3_2):
-        scheme, _, _ = scenario_from_dict(dict({"class": {"J2": 3, "p": 1}}, **extra))
-        assert scheme.coupling_target == target
-        assert scheme.j_intermediate == HalfInt(j_i2)
-        assert (scheme.third and scheme.third.j3.twice) == j3_2
-
-    @pytest.mark.parametrize("cfg,field", [
-        ({"class": {"J2": 1.5, "p": 0}}, "class: J2 must be an integer"),
-        ({"class": {"J2": 1, "p": 0.5}}, "class: p must be an integer"),
-        ({"class": {"J2": 1, "p": 0}, "j_intermediate2": 1.5},
-         "j_intermediate2 must be an integer"),
-        ({"class": {"J2": 3, "p": 1}, "third_level": {"J2": 4.5, "delta3_mhz": 100}},
-         "third_level: J2 must be an integer"),
-        ({"class": {"J2": 1, "p": 0}, "phi": {"start": 0, "stop": 1, "steps": 2.5}},
-         "phi: steps must be an integer"),
-        ({"class": {"J2": 1, "p": 0}, "phi": [0.5, "inf"]}, "phi: grid must be"),
-        ({"class": {"J2": 1, "p": 0},
-          "params": {"coupling_detuning_grid": {"start": 0, "stop": 1, "steps": 0}}},
-         "params: grid must be"),
-    ], ids=["J2", "p", "j_intermediate2", "third_J2", "phi_steps", "phi_inf", "detuning_empty"])
-    def test_non_integral_or_bad_grid_rejected(self, cfg, field):
-        with pytest.raises(ValueError, match=field):
-            scenario_from_dict(cfg)
-
-    def test_integral_floats_accepted(self):
-        scheme, _, grid = scenario_from_dict({
-            "class": {"J2": 3.0, "p": 1.0}, "j_intermediate2": 3.0,
-            "phi": {"start": 0, "stop": 1, "steps": 4.0},
-        })
-        assert scheme.cls == FIVE_HALF and len(grid) == 4
-
-    @pytest.mark.parametrize("third", [
-        {"J2": 5, "delta3_mhz": "inf"},
-        {"delta3_mhz": "nan"},
-    ], ids=["explicit_j3_inf", "default_j3_nan"])
-    def test_non_finite_delta3_rejected(self, third):
-        with pytest.raises(ValueError, match="delta3 must be finite and positive"):
-            scenario_from_dict({"class": {"J2": 3, "p": 1}, "third_level": third})

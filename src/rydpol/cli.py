@@ -13,9 +13,10 @@ This is the one module that reads and formats outside input.  Scenario
 files, spectrum files and flags pass through one set of field readers
 (_number, _integer, _class, _grid, and _numbers for a spectrum's arrays)
 into the typed values the library takes, each with one error wording
-that names the field.  A JSON
-true/false is not a number, a grid is a flat list or a range object of
-at most MAX_GRID_POINTS points, and `wigner` takes |2j| <= MAX_TWICE_J.  On
+that names the field and echoes at most MAX_ECHO characters of the
+value.  A JSON true/false is not a number, a grid is a flat list or a
+range object of at most MAX_GRID_POINTS points, a class has J2 <=
+MAX_CLASS_J2, and `wigner` takes |2j| <= MAX_TWICE_J.  On
 the way out, the library returns arrays and dataclasses, every table goes
 through _write_csv and every JSON document, the manifest included,
 through _write_json.  The one exception is the EIT table, which
@@ -76,15 +77,26 @@ EXIT_NUMERICAL = 4
 # Work bounds at the boundary.  A grid of 10^4 points keeps the largest
 # pole-sum temporary of an EIT spectrum (grid x 192 poles, complex) near
 # 31 MB; the exact Wigner sums grow with j, and at |2j| = 1000 one 6-j
-# symbol takes about 0.2 s.
+# symbol takes about 0.2 s.  A class's angular matrix has side about 2 J2
+# and is built from exact 3-j sums, memory growing as J2^2; at J2 = 100 a
+# two-angle spectrogram takes about 0.15 s in process (J2 = 801: 2 s, 148 MB).
 MAX_GRID_POINTS = 10_000
 MAX_TWICE_J = 1000
+MAX_CLASS_J2 = 100
+# an offending value is echoed in an error message up to this many characters
+MAX_ECHO = 60
 
 
 class CliError(Exception):
     def __init__(self, message, code=EXIT_INVALID):
         super().__init__(message)
         self.code = code
+
+
+def _echo(value) -> str:
+    """repr(value), cut to MAX_ECHO characters with an ellipsis."""
+    text = repr(value)
+    return text if len(text) <= MAX_ECHO else text[:MAX_ECHO - 3] + "..."
 
 
 def _parse_halfint(text: str) -> HalfInt:
@@ -98,9 +110,10 @@ def _parse_halfint(text: str) -> HalfInt:
         else:
             value = HalfInt.of(float(text))
     except (ValueError, TypeError, OverflowError):
-        raise CliError("%r is not an integer or half-integer" % text)
+        raise CliError("%s is not an integer or half-integer" % _echo(text))
     if abs(value.twice) > MAX_TWICE_J:
-        raise CliError("%r is out of range: |2j| must be at most %d" % (text, MAX_TWICE_J))
+        raise CliError("%s is out of range: |2j| must be at most %d"
+                       % (_echo(text), MAX_TWICE_J))
     return value
 
 
@@ -112,7 +125,7 @@ def _number(value, name: str) -> float:
             return float(value)
     except (TypeError, ValueError, OverflowError):
         pass
-    raise ValueError("%s must be a number, got %r" % (name, value))
+    raise ValueError("%s must be a number, got %s" % (name, _echo(value)))
 
 
 def _integer(value, name: str) -> int:
@@ -124,17 +137,21 @@ def _integer(value, name: str) -> int:
     except (TypeError, ValueError, OverflowError):
         number = math.nan
     if not number.is_integer():
-        raise ValueError("%s must be an integer, got %r" % (name, value))
+        raise ValueError("%s must be an integer, got %s" % (name, _echo(value)))
     return int(number)
 
 
 def _class(spec) -> TransitionClass:
     """Transition class of a {"J2": 2J, "p": p} mapping, as scenario and
     spectrum files write it and the --J2/--p flags give it; KeyError for a
-    missing key, ValueError for a non-integral or invalid value."""
+    missing key, ValueError for a non-integral or invalid value or a J2
+    above MAX_CLASS_J2."""
     if not isinstance(spec, dict):
-        raise ValueError('must be an object {"J2": 2J, "p": p}, got %r' % (spec,))
-    return TransitionClass(HalfInt(_integer(spec["J2"], "J2")), _integer(spec["p"], "p"))
+        raise ValueError('must be an object {"J2": 2J, "p": p}, got %s' % _echo(spec))
+    twice_j = _integer(spec["J2"], "J2")
+    if twice_j > MAX_CLASS_J2:  # before any angular matrix is built
+        raise ValueError("J2 must be at most %d, got %s" % (MAX_CLASS_J2, _echo(spec["J2"])))
+    return TransitionClass(HalfInt(twice_j), _integer(spec["p"], "p"))
 
 
 def _grid(spec) -> np.ndarray:
@@ -148,8 +165,8 @@ def _grid(spec) -> np.ndarray:
     elif isinstance(spec, list):
         size = len(spec)
     else:
-        raise ValueError("grid must be a {start, stop, steps} object or a list, got %r"
-                         % (spec,))
+        raise ValueError("grid must be a {start, stop, steps} object or a list, got %s"
+                         % _echo(spec))
     if size > MAX_GRID_POINTS:  # before anything is allocated
         raise ValueError("grid must have at most %d points, got %d" % (MAX_GRID_POINTS, size))
     with np.errstate(invalid="ignore", over="ignore"):  # an infinite start or stop
@@ -297,15 +314,16 @@ def _optics(spec) -> OpticalConfig:
     Jones vector written [re, im]."""
     if isinstance(spec, str):
         if spec not in OPTICS_PRESETS:
-            raise ValueError("unknown preset %r (choices: %s)"
-                             % (spec, ", ".join(OPTICS_PRESETS)))
+            raise ValueError("unknown preset %s (choices: %s)"
+                             % (_echo(spec), ", ".join(OPTICS_PRESETS)))
         return OPTICS_PRESETS[spec]()
     if not isinstance(spec, dict):
-        raise ValueError("must be a preset name or an object of 3-vectors, got %r" % (spec,))
+        raise ValueError("must be a preset name or an object of 3-vectors, got %s"
+                         % _echo(spec))
 
     def vector(key):  # OpticalConfig checks the length, norm and direction
         if not isinstance(spec[key], list):
-            raise ValueError("%s must be a list of numbers, got %r" % (key, spec[key]))
+            raise ValueError("%s must be a list of numbers, got %s" % (key, _echo(spec[key])))
         return tuple(complex(*(_number(x, key) for x in v)) if isinstance(v, list)
                      else _number(v, key) for v in spec[key])
 

@@ -84,13 +84,6 @@ def _class_scale(cls: TransitionClass) -> float:
 
 
 @dataclass(frozen=True)
-class CouplingMatrix:
-    cls: TransitionClass
-    phi: float | None
-    entries: np.ndarray
-
-
-@dataclass(frozen=True)
 class EigenSpectrum:
     phi: float
     eigenvalues: np.ndarray
@@ -115,16 +108,15 @@ def _channel_matrices(cls: TransitionClass) -> tuple:
     coupling matrix is C_plus*(cos(phi/2)+sin(phi/2)) + C_minus*(cos-sin):
     the oracle matrices of the pure e_{+1} and e_{-1} SOPs, class-scaled.
     """
-    return tuple(_class_scale(cls) * oracle_matrix(cls, sop).entries.real
+    return tuple(_class_scale(cls) * oracle_matrix(cls, sop).real
                  for sop in (RfSop(1.0, 0.0), RfSop(0.0, 1.0)))
 
 
-def coupling_matrix(cls: TransitionClass, phi: float) -> CouplingMatrix:
+def coupling_matrix(cls: TransitionClass, phi: float) -> np.ndarray:
     """Real symmetric angular coupling matrix at phase angle phi."""
     c_plus, c_minus = _channel_matrices(cls)
     ch, sh = math.cos(phi / 2.0), math.sin(phi / 2.0)
-    entries = c_plus * (ch + sh) + c_minus * (ch - sh)
-    return CouplingMatrix(cls, phi, entries)
+    return c_plus * (ch + sh) + c_minus * (ch - sh)
 
 
 @lru_cache(maxsize=None)
@@ -168,7 +160,7 @@ def rf_block(cls: TransitionClass, c_minus, c_plus) -> np.ndarray:
                         sign * reduced_coupling_strength(cls.J, cls.p))
 
 
-def oracle_matrix(cls: TransitionClass, sop: RfSop) -> CouplingMatrix:
+def oracle_matrix(cls: TransitionClass, sop: RfSop) -> np.ndarray:
     """Brute-force dressing matrix from Wigner-Eckart dipole elements and the
     SOP's spherical amplitudes (radial scale 1), Hermitized.
 
@@ -181,7 +173,7 @@ def oracle_matrix(cls: TransitionClass, sop: RfSop) -> CouplingMatrix:
     H = np.zeros((cls.dim, cls.dim), dtype=complex)
     H[n1:, :n1] = block
     H[:n1, n1:] = block.conj().T
-    return CouplingMatrix(cls, sop.phi, H)
+    return H
 
 
 def oracle_scale(cls: TransitionClass) -> float:
@@ -209,17 +201,15 @@ def eigen_spectrum(
 ) -> EigenSpectrum:
     if degeneracy_tol <= 0:
         raise ValueError("degeneracy_tol must be positive")
-    ev = np.sort(np.linalg.eigvalsh(coupling_matrix(cls, phi).entries))
+    ev = np.sort(np.linalg.eigvalsh(coupling_matrix(cls, phi)))
     return EigenSpectrum(phi, ev, group_degeneracies(ev, degeneracy_tol))
 
 
-def spectrogram(
-    cls: TransitionClass, phi_grid, degeneracy_tol: float = 1e-9
-) -> list:
+def spectrogram(cls: TransitionClass, phi_grid) -> list:
     phi_grid = np.asarray(phi_grid, dtype=float)
     if phi_grid.size == 0:
         raise ValueError("phi grid must be non-empty")
-    return [eigen_spectrum(cls, float(phi), degeneracy_tol) for phi in phi_grid]
+    return [eigen_spectrum(cls, float(phi)) for phi in phi_grid]
 
 
 def envelope_magnitudes(s: float) -> tuple:

@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -144,9 +143,10 @@ class SimParams:
         if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
             raise ValueError("coupling_detuning_grid must be a non-empty list of finite values")
         if self.omega_probe > self.gamma_i:
+            # past the dataclass-generated __init__ to the line that built it
             warnings.warn(
                 "omega_probe exceeds gamma_i; weak-probe response is nonlinear",
-                stacklevel=2,
+                stacklevel=3,
             )
 
 
@@ -299,12 +299,11 @@ def lindblad_residual(H: np.ndarray, collapse: np.ndarray, rho: np.ndarray) -> f
     return float(np.linalg.norm(drho))
 
 
-@lru_cache(maxsize=32)
 def _probe_row(scheme: LevelScheme, optics: OpticalConfig) -> np.ndarray:
     """The probe readout as one row w over row-major vec(rho): the
     amplitude block with which the probe drives g -> i (unit Frobenius
     norm) on the i-g and g-i coherences, zero elsewhere, so that the probe
-    absorption is -Im(w . vec(rho)).  Cached; the result is read-only."""
+    absorption is -Im(w . vec(rho))."""
     Bg = dipole_block(scheme.j_intermediate, scheme.j_ground, optics.probe_components())
     norm = np.linalg.norm(Bg)
     W = Bg / norm if norm > 0 else Bg
@@ -315,9 +314,7 @@ def _probe_row(scheme: LevelScheme, optics: OpticalConfig) -> np.ndarray:
     # half on rho_ig and half, conjugated and negated, on rho_gi: the
     # same readout of a Hermitian rho, and one that averages the rounding
     # of the two computed copies of each coherence
-    w = (0.5 * (w - w.conj().T)).reshape(-1)
-    w.setflags(write=False)
-    return w
+    return (0.5 * (w - w.conj().T)).reshape(-1)
 
 
 def probe_absorption(scheme: LevelScheme, params: SimParams, rho: np.ndarray) -> float:
@@ -329,7 +326,6 @@ def probe_absorption(scheme: LevelScheme, params: SimParams, rho: np.ndarray) ->
 
 @dataclass(frozen=True)
 class EitSpectrum:
-    phi: float | None
     detuning_mhz: np.ndarray
     response: np.ndarray
 
@@ -407,8 +403,6 @@ def eit_spectrum(scheme: LevelScheme, params: SimParams, sop: RfSop | float) -> 
     reference that this is tested against.  LinAlgError if the reduction
     or the response is not finite.
     """
-    if not isinstance(sop, RfSop):
-        sop = sop_from_phi(float(sop))
     grid = np.asarray(params.coupling_detuning_grid, dtype=float)
     # finite parameters so large that H or L overflows, or a pole on the
     # grid (a vanishing decay rate), are reported by the finiteness checks
@@ -420,7 +414,7 @@ def eit_spectrum(scheme: LevelScheme, params: SimParams, sop: RfSop | float) -> 
         response = -np.imag((1.0 / (grid[:, None] + lam)) @ c)
     if not np.all(np.isfinite(response)):
         raise np.linalg.LinAlgError("EIT response is not finite")
-    return EitSpectrum(sop.phi, grid, np.clip(response, 0.0, None))
+    return EitSpectrum(grid, np.clip(response, 0.0, None))
 
 
 def eit_spectrogram(scheme: LevelScheme, params: SimParams, phi_grid) -> EitSpectrogram:

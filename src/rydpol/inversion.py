@@ -42,26 +42,6 @@ class InversionError(Exception):
     pass
 
 
-class FewerThanFourPeaks(InversionError):
-    pass
-
-
-class NonStraddling(InversionError):
-    pass
-
-
-class DegenerateOuter(InversionError):
-    pass
-
-
-class DegenerateInner(InversionError):
-    pass
-
-
-class OutOfRange(InversionError):
-    pass
-
-
 class NotInvertible(InversionError):
     pass
 
@@ -81,7 +61,7 @@ class PeakSet:
             self.lambda_o_minus <= self.lambda_i_minus <= 0.0
             and 0.0 <= self.lambda_i_plus <= self.lambda_o_plus
         ):
-            raise NonStraddling(
+            raise InversionError(
                 "peak pairs must straddle zero: %r"
                 % [self.lambda_o_minus, self.lambda_i_minus,
                    self.lambda_i_plus, self.lambda_o_plus]
@@ -182,10 +162,10 @@ def extract_peaks(
     if not math.isfinite(span):
         raise ValueError("amplitude range must be finite")
     if span <= 0:
-        raise FewerThanFourPeaks("flat spectrum")
+        raise InversionError("flat spectrum")
     idx, proms = _find_peaks(y, min_prominence * span)
     if not idx:
-        raise FewerThanFourPeaks("no peaks above prominence threshold")
+        raise InversionError("no peaks above prominence threshold")
     peaks = sorted((_refine_quadratic(x, y, k), prom) for k, prom in zip(idx, proms))
 
     if merge_tol > 0:
@@ -210,9 +190,9 @@ def _assign_roles(peaks: list, central_tol: float) -> PeakSet:
     pos = [p for p in side if p > 0]
 
     if len(side) >= 2 and not (neg and pos):
-        raise NonStraddling("all side peaks on one side of zero detuning")
+        raise InversionError("all side peaks on one side of zero detuning")
     if len(side) < 4 and len(side) != 2:
-        raise FewerThanFourPeaks("found %d side peaks" % len(side))
+        raise InversionError("found %d side peaks" % len(side))
     lo_m, lo_p = min(neg), max(pos)
     if len(side) >= 4:
         li_m, li_p = max(neg), min(pos)
@@ -231,14 +211,14 @@ def ratio_half(peaks: PeakSet, tol: float = 1e-9) -> float:
     the four lines, and rounding is monotone, so 0 <= R <= 1 exactly."""
     outer = peaks.lambda_o_plus - peaks.lambda_o_minus
     if outer <= tol:
-        raise DegenerateOuter("outer span %g below tolerance" % outer)
+        raise InversionError("outer span %g below tolerance" % outer)
     return (peaks.lambda_i_plus - peaks.lambda_i_minus) / outer
 
 
 def invert_half(R: float, tol: float = 1e-9) -> PhaseCandidates:
     """Candidate phases for a (1/2, 0) ratio: phi~ = 2[pi/4 - arctan R]."""
     if R < -tol or R > 1.0 + tol:
-        raise OutOfRange("ratio %g outside [0, 1]" % R)
+        raise InversionError("ratio %g outside [0, 1]" % R)
     R = min(max(R, 0.0), 1.0)
     principal = 2.0 * (math.pi / 4.0 - math.atan(R))
     cands = _fourfold(principal)
@@ -269,7 +249,7 @@ def ratio_five_half(peaks: PeakSet, tol: float = 1e-9) -> float:
     """Outer span over inner span for a (3/2, +-) spectrum."""
     inner = peaks.lambda_i_plus - peaks.lambda_i_minus
     if inner <= tol:
-        raise DegenerateInner("inner span %g below tolerance" % inner)
+        raise InversionError("inner span %g below tolerance" % inner)
     return (peaks.lambda_o_plus - peaks.lambda_o_minus) / inner
 
 
@@ -336,7 +316,7 @@ def invert_five_half(
     prominence; the principal angle solves the exact envelope ratio.
     """
     if R < R_FIVE_MIN - tol or R > R_FIVE_MAX + tol:
-        raise OutOfRange(
+        raise InversionError(
             "ratio %g outside [sqrt(3/2), sqrt(10)]" % R
         )
     R = min(max(R, R_FIVE_MIN), R_FIVE_MAX)
@@ -393,7 +373,6 @@ def peakset_from_eigenvalues(eigenvalues) -> PeakSet:
 @dataclass(frozen=True)
 class RoundTripReport:
     phi_true: float
-    per_config: dict
     combined: tuple
     recovered: bool
 
@@ -414,16 +393,13 @@ def round_trip(
     phi_true = phi_true % _TWO_PI
     free = config_free(cls)  # NotInvertible before any peak error
     peaks = peakset_from_eigenvalues(eigen_spectrum(cls, phi_true).eigenvalues)
-    if free:
-        per_config = {"any": invert_peaks(cls, peaks, 0.0, 0.5, "standard", 1e-6)}
-    else:
-        per_config = {}
-        for config in configs:
-            cp = 1.0 if _in_prominence_interval(phi_true, config) else 0.0
-            per_config[config] = invert_peaks(cls, peaks, cp, 0.5, config, 1e-6)
-    results = list(per_config.values())
+    if free:  # the (1/2, 0) kernel reads neither the prominence nor the config
+        configs = ("standard",)
+    # a configuration named twice counts once
+    results = [invert_peaks(cls, peaks, float(_in_prominence_interval(phi_true, config)),
+                            0.5, config, 1e-6) for config in dict.fromkeys(configs)]
     combined = results[0].pruned
     for other in results[1:]:
         combined = combine_candidates(combined, other.pruned, max(angle_tol, 1e-9)) or combined
     recovered = any(_angle_dist(phi_true, c) <= angle_tol for c in combined)
-    return RoundTripReport(phi_true, per_config, combined, recovered)
+    return RoundTripReport(phi_true, combined, recovered)

@@ -135,7 +135,6 @@ class OpticalConfig:
     propagation_coupling: tuple
     pol_probe: tuple
     pol_coupling: tuple
-    name: str = "custom"
 
     def __post_init__(self):
         for field in ("propagation_probe", "propagation_coupling", "pol_probe", "pol_coupling"):
@@ -176,7 +175,6 @@ def standard_optics() -> OpticalConfig:
         propagation_coupling=(0.0, -1.0, 0.0),
         pol_probe=(1.0, 0.0, 0.0),
         pol_coupling=(1.0, 0.0, 0.0),
-        name="standard",
     )
 
 
@@ -195,7 +193,6 @@ def tilted_linear_optics() -> OpticalConfig:
         propagation_coupling=(0.0, -1.0, 0.0),
         pol_probe=pol,
         pol_coupling=pol,
-        name="tilted_linear",
     )
 
 
@@ -212,7 +209,6 @@ def rotated_circular_optics() -> OpticalConfig:
         propagation_coupling=kc,
         pol_probe=_circular_pol(kp),
         pol_coupling=_circular_pol(kc),
-        name="rotated_circular",
     )
 
 

@@ -91,7 +91,7 @@ def test_criterion_02_closed_form_match(verdict):
     rng = np.random.default_rng(20260824)
     worst = 0.0
     for phi in rng.uniform(0.0, 2 * math.pi, 1000):
-        ev = np.sort(np.linalg.eigvalsh(coupling_matrix(HALF_ZERO, phi).entries))
+        ev = np.sort(np.linalg.eigvalsh(coupling_matrix(HALF_ZERO, phi)))
         ref = np.sort(closed_form_eigenvalues_half(phi))
         worst = max(worst, float(np.max(np.abs(ev - ref))))
     verdict(2, "closed-form eigenvalues, 1000 random angles",
@@ -106,7 +106,7 @@ def test_criterion_03_oracle_equivalence(verdict):
         for phi in np.linspace(0.0, 2 * math.pi, 64):
             a_all.append(np.sort(np.linalg.eigvalsh(closed_form_coupling_matrix(cls, phi))))
             b_all.append(np.sort(np.linalg.eigvalsh(
-                oracle_matrix(cls, sop_from_phi(phi)).entries)))
+                oracle_matrix(cls, sop_from_phi(phi)))))
         a = np.concatenate(a_all)
         b = np.concatenate(b_all)
         scale = float(np.dot(a, b) / np.dot(b, b))  # one fitted global scale
@@ -120,7 +120,7 @@ def test_criterion_04_envelope_fidelity(verdict):
     # exact envelopes against the eigensolve
     worst_exact = 0.0
     for phi in np.linspace(0.0, 2 * math.pi, 601):
-        ev = np.sort(np.linalg.eigvalsh(coupling_matrix(FIVE_HALF, phi).entries))
+        ev = np.sort(np.linalg.eigvalsh(coupling_matrix(FIVE_HALF, phi)))
         env = envelopes_exact(phi)
         pos = ev[ev > 1e-9]
         worst_exact = max(

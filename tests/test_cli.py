@@ -88,7 +88,7 @@ class TestScenarioParsing:
         scheme, params, grid = read_scenario(tmp_path, cfg)
         assert scheme.third.delta3_mhz == 150.0
         assert params.omega_rf == 20.0
-        assert params.optics.name == rotated_circular_optics().name
+        assert params.optics == rotated_circular_optics()
         assert len(params.coupling_detuning_grid) == 61
         assert list(grid) == [0.5, 1.5]
 
@@ -175,15 +175,24 @@ class TestScenarioParsing:
         ({"class": {"J2": 1, "p": 0},
           "params": {"coupling_detuning_grid": {"start": 0, "stop": 1, "steps": 10001}}},
          "params: grid must have at most 10000 points, got 10001"),
+        ({"class": {"J2": 101, "p": 0}}, "class: J2 must be at most 100, got 101"),
+        ({"class": {"J2": 1e15, "p": 1}}, "class: J2 must be at most 100, got 1000000000000000.0"),
+        # an echoed value is cut short
+        ({"class": {"J2": 1, "p": 0}, "phi": {"start": 0, "stop": 1, "steps": 10 ** 400}},
+         r"phi: steps must be an integer, got 1000000000\d+\.\.\.$"),
+        ({"class": {"J2": 1, "p": 0}, "phi": {"start": list(range(200)), "stop": 1, "steps": 2}},
+         r"phi: start must be a number, got \[0, 1, 2, \d+(, \d+)*,?\.\.\.$"),
     ], ids=["J2", "p", "j_intermediate2", "third_J2", "phi_steps", "phi_inf", "detuning_empty",
             "J2_true", "p_false", "j_intermediate2_true", "third_J2_true",
             "third_delta3_true", "omega_rf_true", "phi_entry_true", "phi_start_false",
             "phi_steps_true", "detuning_entry_false", "phi_start_list", "phi_stop_nested",
             "phi_entry_list", "phi_start_nan", "class_list", "optics_number",
-            "omega_rf_overflow", "phi_steps_1e15", "detuning_steps_over_cap"])
+            "omega_rf_overflow", "phi_steps_1e15", "detuning_steps_over_cap",
+            "J2_over_cap", "J2_1e15", "phi_steps_401_digits", "phi_start_long_list"])
     def test_non_integral_or_bad_grid_rejected(self, tmp_path, cfg, field):
-        with pytest.raises(cli.CliError, match=field):
+        with pytest.raises(cli.CliError, match=field) as info:
             read_scenario(tmp_path, cfg)
+        assert len(str(info.value)) <= 100 + cli.MAX_ECHO
 
     def test_integral_floats_accepted(self, tmp_path):
         scheme, _, grid = read_scenario(tmp_path, {
@@ -285,12 +294,19 @@ class TestSpectrogramCommand:
         side = tmp_path / "spg_envelopes.csv"
         assert side.read_bytes() == (tmp_path / "env.csv").read_bytes()
 
-    def test_invalid_class(self, tmp_path):
-        rc = main([
-            "spectrogram", "--J2", "0", "--p", "0",
-            "-o", str(tmp_path / "x.csv"),
-        ])
-        assert rc == 3
+    def test_invalid_class(self, tmp_path, capsys):
+        # J2 above the cap exits before any angular matrix is built
+        for twice_j, message in (("0", "J must be at least 1/2"),
+                                 ("101", "J2 must be at most 100, got 101"),
+                                 ("9" * 300, "J2 must be at most 100, got 999")):
+            rc = main([
+                "spectrogram", "--J2", twice_j, "--p", "0",
+                "-o", str(tmp_path / "x.csv"),
+            ])
+            assert rc == 3
+            err = capsys.readouterr().err
+            assert message in err and len(err) <= 100 + cli.MAX_ECHO
+            assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", [
         ["spectrogram", "--J2", "1", "--p", "0"],
@@ -1162,3 +1178,61 @@ def test_invert_exit_code_contract(case):
                            ["invert", "--input"], "report.json")
     if rc == 0:
         json.loads(text, parse_constant=not_finite)
+
+
+# The same contract for the flag-driven commands: one value of a small valid
+# argv replaced by a value from a fixed pool.  The pool holds no value between
+# the small valid ones and the caps, so no case computes at scale.
+FLAG_ARGVS = {
+    "spectrogram": ["spectrogram", "--J2", "3", "--p", "1", "--phi-start", "0",
+                    "--phi-stop", "6", "--phi-steps", "5"],
+    "envelopes": ["envelopes", "--kind", "exact", "--phi-steps", "5"],
+    "roundtrip": ["roundtrip", "--J2", "3", "--p", "1", "--phi-steps", "5",
+                  "--configs", "standard,rotated_circular", "--angle-tol", "1e-6"],
+    "wigner": ["wigner", "--symbol", "3j", "1", "1", "2", "0", "0", "0"],
+}
+FLAG_VALUES = ["", "nan", "inf", "1e400", "true", "1.5", "3/2", "-1", "0",
+               str(cli.MAX_GRID_POINTS + 1), str(cli.MAX_CLASS_J2 + 1),
+               "%d/2" % (cli.MAX_TWICE_J + 1), "9" * 300]
+# the words in which a reader or a library invariant names a flag; "J" is
+# a positional value of `wigner`
+FLAG_WORDS = {"--J2": ("J2", "J must be"), "--p": ("class",),
+              "--configs": ("optics configuration",), "J": ("half-integer", "|2j|", "parity")}
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.sampled_from([(name, i, value) for name, argv in FLAG_ARGVS.items()
+                             for i in range(2, len(argv)) if not argv[i].startswith("--")
+                             for value in FLAG_VALUES]))
+def test_flag_exit_code_contract(case):
+    name, i, value = case
+    argv = list(FLAG_ARGVS[name])
+    argv[i] = value
+    flag = argv[i - 1] if argv[i - 1].startswith("--") else "J"
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out.json" if name == "roundtrip" else "out.csv")
+        if name != "wigner":
+            argv += ["-o", out]
+        stdout, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        assert rc in (0, 2, 3, 4), (argv, rc, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if rc == 3:
+            words = (flag,) + FLAG_WORDS.get(flag, ())
+            assert any(w in err.getvalue() for w in words), (argv, err.getvalue())
+        if rc == 0:
+            if name == "roundtrip":
+                with open(out) as fh:
+                    json.load(fh, parse_constant=not_finite)
+                return
+            if name == "wigner":
+                lines = stdout.getvalue().splitlines()
+            else:
+                with open(out) as fh:
+                    lines = fh.read().splitlines()[1:]
+            cells = [float(cell) for line in lines for cell in line.split(",")
+                     if cell not in ("exact", "approx")]
+            assert cells and np.all(np.isfinite(cells)), argv
+        elif not (name == "roundtrip" and rc == 4):  # roundtrip reports its failures
+            assert os.listdir(tmp) == [], (argv, rc)

@@ -65,7 +65,7 @@ class TestCouplingMatrix:
     @pytest.mark.parametrize("cls", EXPERIMENTAL_CLASSES)
     def test_real_symmetric(self, cls):
         for phi in (0.0, 0.7, 2.9, 5.1):
-            m = coupling_matrix(cls, phi).entries
+            m = coupling_matrix(cls, phi)
             assert m.shape == (cls.dim, cls.dim)
             assert np.allclose(m, m.T, atol=1e-14)
             assert np.isrealobj(m)
@@ -73,20 +73,20 @@ class TestCouplingMatrix:
     def test_half_zero_closed_form(self):
         rng = np.random.default_rng(11)
         for phi in rng.uniform(0, 2 * math.pi, 50):
-            ev = np.sort(np.linalg.eigvalsh(coupling_matrix(HALF_ZERO, phi).entries))
+            ev = np.sort(np.linalg.eigvalsh(coupling_matrix(HALF_ZERO, phi)))
             ref = np.sort(closed_form_eigenvalues_half(phi))
             assert np.max(np.abs(ev - ref)) < 1e-13
 
     def test_eigenvalues_bounded(self):
         for cls in EXPERIMENTAL_CLASSES:
             for phi in np.linspace(0, 2 * math.pi, 17):
-                ev = np.linalg.eigvalsh(coupling_matrix(cls, phi).entries)
+                ev = np.linalg.eigvalsh(coupling_matrix(cls, phi))
                 assert np.all(np.abs(ev) < 1.3)
 
     def test_spectrum_symmetric_about_zero(self):
         # the p != 0 classes are bipartite, so eigenvalues come in +- pairs
         for cls in (TransitionClass.of(0.5, 1), FIVE_HALF):
-            ev = np.sort(np.linalg.eigvalsh(coupling_matrix(cls, 1.1).entries))
+            ev = np.sort(np.linalg.eigvalsh(coupling_matrix(cls, 1.1)))
             assert np.allclose(ev, -ev[::-1], atol=1e-12)
 
     @settings(max_examples=30, deadline=None)
@@ -98,7 +98,7 @@ class TestCouplingMatrix:
     def test_chiral_and_matches_closed_form(self, twoJ, p, phi):
         cls = TransitionClass(HalfInt(twoJ), p)
         n1 = cls.dim_r1
-        m = coupling_matrix(cls, phi).entries
+        m = coupling_matrix(cls, phi)
         assert np.isrealobj(m)
         assert np.array_equal(m, m.T)
         assert not m[:n1, :n1].any() and not m[n1:, n1:].any()
@@ -117,7 +117,7 @@ class TestCouplingMatrix:
 
         monkeypatch.setattr(dressing, "wigner3j", no_3j)
         dressing._channel_matrices.cache_clear()
-        assert coupling_matrix(FIVE_HALF, 0.3).entries.shape == (10, 10)
+        assert coupling_matrix(FIVE_HALF, 0.3).shape == (10, 10)
 
 
 class TestOracle:
@@ -125,17 +125,17 @@ class TestOracle:
     def test_eigenvalue_multisets_match(self, cls):
         # the Wigner-Eckart route against the closed-form 3-j entry formula
         for phi in np.linspace(0.0, 2 * math.pi, 9):
-            a = np.sort(np.linalg.eigvalsh(coupling_matrix(cls, phi).entries))
+            a = np.sort(np.linalg.eigvalsh(coupling_matrix(cls, phi)))
             b = np.sort(np.linalg.eigvalsh(closed_form_coupling_matrix(cls, phi)))
             assert np.max(np.abs(a - b)) < 1e-12
 
     def test_oracle_hermitian(self):
-        m = oracle_matrix(FIVE_HALF, sop_from_phi(0.9)).entries
+        m = oracle_matrix(FIVE_HALF, sop_from_phi(0.9))
         assert np.allclose(m, m.conj().T, atol=1e-14)
 
     def test_oracle_block_structure(self):
         n1 = FIVE_HALF.dim_r1
-        m = oracle_matrix(FIVE_HALF, sop_from_phi(0.9)).entries
+        m = oracle_matrix(FIVE_HALF, sop_from_phi(0.9))
         assert np.allclose(m[:n1, :n1], 0.0)
         assert np.allclose(m[n1:, n1:], 0.0)
 
@@ -150,7 +150,7 @@ class TestOracle:
         # reference, element by element
         cls = TransitionClass(HalfInt(twoJ), p)
         sop = sop_from_phi(phi)
-        block = oracle_matrix(cls, sop).entries[cls.dim_r1 :, : cls.dim_r1]
+        block = oracle_matrix(cls, sop)[cls.dim_r1 :, : cls.dim_r1]
         ref = np.zeros((cls.dim - cls.dim_r1, cls.dim_r1))
         for col, (_, m) in enumerate(basis(cls)[: cls.dim_r1]):
             for row, (_, mp) in enumerate(basis(cls)[cls.dim_r1 :]):
@@ -194,7 +194,7 @@ class TestDegeneracies:
 class TestEnvelopes:
     def test_exact_envelopes_bound_spectrum(self):
         for phi in np.linspace(0, 2 * math.pi, 61):
-            ev = np.sort(np.linalg.eigvalsh(coupling_matrix(FIVE_HALF, phi).entries))
+            ev = np.sort(np.linalg.eigvalsh(coupling_matrix(FIVE_HALF, phi)))
             env = envelopes_exact(phi)
             assert ev[-1] == pytest.approx(env.outer_plus, abs=1e-12)
             assert ev[0] == pytest.approx(env.outer_minus, abs=1e-12)

@@ -142,8 +142,9 @@ class TestSimParams:
             SimParams(omega_probe=0.0)
 
     def test_strong_probe_warns(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as record:
             SimParams(omega_probe=10.0, gamma_i=6.0)
+        assert [w.filename for w in record] == [__file__]
 
 
 class TestHamiltonian:

@@ -88,8 +88,7 @@ class TestFrames:
 
 class TestOpticalConfig:
     def test_standard_valid(self):
-        cfg = standard_optics()
-        assert cfg.name == "standard"
+        assert standard_optics() == OpticalConfig((0, 1, 0), (0, -1, 0), (1, 0, 0), (1, 0, 0))
 
     def test_counter_propagation_enforced(self):
         with pytest.raises(ValueError):
@@ -132,5 +131,8 @@ class TestOpticalConfig:
         assert abs(c_zero) > 0.5
 
     def test_presets_constructible(self):
-        for name, factory in OPTICS_PRESETS.items():
-            assert factory().name in (name, "rotated_circular", "tilted_linear")
+        assert OPTICS_PRESETS == {"standard": standard_optics,
+                                  "tilted_linear": tilted_linear_optics,
+                                  "rotated_circular": rotated_circular_optics}
+        for factory in OPTICS_PRESETS.values():
+            assert isinstance(factory(), OpticalConfig)

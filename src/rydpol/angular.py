@@ -17,7 +17,8 @@ from fractions import Fraction
 
 @dataclass(frozen=True)
 class HalfInt:
-    """A half-integer j stored as the doubled integer 2j."""
+    """A half-integer j stored as the doubled integer 2j; equal to, and
+    hashed like, a HalfInt of the same 2j only.  HalfInt.of coerces a number."""
 
     twice: int
 
@@ -42,15 +43,6 @@ class HalfInt:
 
     def __neg__(self):
         return HalfInt(-self.twice)
-
-    def __eq__(self, other):
-        try:
-            return self.twice == HalfInt.of(other).twice
-        except (TypeError, ValueError):
-            return NotImplemented
-
-    def __hash__(self):
-        return hash(("HalfInt", self.twice))
 
     def __repr__(self):
         if self.twice % 2 == 0:

@@ -43,6 +43,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import asdict, astuple
 
 import numpy as np
@@ -332,13 +333,20 @@ def _optics(spec) -> OpticalConfig:
 
 
 def _params(spec, optics) -> eitsim.SimParams:
-    """SimParams of a scenario's "params" object with the scenario's optics."""
+    """SimParams of a scenario's "params" object with the scenario's optics.
+    A warning it raises (a strong probe) is written "warning: ..." on
+    stderr, once per run."""
     if not isinstance(spec, dict):
         raise ValueError("must be a JSON object")
     kwargs = {k: _number(v, k) for k, v in spec.items() if k != "coupling_detuning_grid"}
     if spec.get("coupling_detuning_grid") is not None:
         kwargs["coupling_detuning_grid"] = tuple(_grid(spec["coupling_detuning_grid"]))
-    return eitsim.SimParams(optics=optics, **kwargs)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        params = eitsim.SimParams(optics=optics, **kwargs)
+    for w in caught:
+        sys.stderr.write("warning: %s\n" % w.message)
+    return params
 
 
 def _scenario(args) -> tuple:
@@ -603,8 +611,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-prominence", type=float, default=0.05)
     p.add_argument("--merge-tol", type=float, default=0.0, metavar="MHZ")
     p.add_argument("--central-tol", type=float, default=None, metavar="MHZ")
-    p.add_argument("--ratio-tol", type=float, default=1e-6)
-    p.add_argument("--angle-tol", type=float, default=1e-3)
+    p.add_argument("--ratio-tol", type=float, default=1e-6,
+                   help="slack on the 3/2^+- ratio range; the 1/2^0 ratio lies "
+                        "in [0, 1] by construction and reads none")
+    p.add_argument("--angle-tol", type=float, default=1e-3,
+                   help="radians within which the two runs' candidates match; "
+                        "read only with --second-input")
     p.add_argument("--degrees", action="store_true")
     p.add_argument("-o", "--output", default=None)
 

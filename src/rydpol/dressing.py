@@ -201,7 +201,7 @@ def eigen_spectrum(
 ) -> EigenSpectrum:
     if degeneracy_tol <= 0:
         raise ValueError("degeneracy_tol must be positive")
-    ev = np.sort(np.linalg.eigvalsh(coupling_matrix(cls, phi)))
+    ev = np.linalg.eigvalsh(coupling_matrix(cls, phi))  # ascending
     return EigenSpectrum(phi, ev, group_degeneracies(ev, degeneracy_tol))
 
 

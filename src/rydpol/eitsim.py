@@ -10,7 +10,7 @@ whichever is dipole-accessible in the experiment being modeled (the
 S-series classes are probed on r1, the D-series on r2).  Peak positions in
 the probe response vs coupling detuning Delta_c sit at omega_rf times the
 dressed eigenvalues; optics only reshape peak prominences.  The spectrum
-is one linear readout of the steady state (the probe row on the g-i
+is one linear readout of the steady state (the probe row on the i-g
 coherences): a sum of poles taken from one reduction, in the real
 coordinates of a Hermitian rho, and one real eigendecomposition per SOP
 that also yields the dark steady state (_poles, eit_spectrum).
@@ -289,21 +289,11 @@ def steady_state(H: np.ndarray, collapse: np.ndarray) -> np.ndarray:
     return 0.5 * (rho + rho.conj().T)
 
 
-def lindblad_residual(H: np.ndarray, collapse: np.ndarray, rho: np.ndarray) -> float:
-    """Norm of the matrix-form Lindblad right-hand side, one channel at a
-    time: the reference that liouvillian is tested against."""
-    drho = -1j * (H @ rho - rho @ H)
-    for C in collapse:
-        CdC = C.conj().T @ C
-        drho += C @ rho @ C.conj().T - 0.5 * (CdC @ rho + rho @ CdC)
-    return float(np.linalg.norm(drho))
-
-
 def _probe_row(scheme: LevelScheme, optics: OpticalConfig) -> np.ndarray:
     """The probe readout as one row w over row-major vec(rho): the
     amplitude block with which the probe drives g -> i (unit Frobenius
-    norm) on the i-g and g-i coherences, zero elsewhere, so that the probe
-    absorption is -Im(w . vec(rho))."""
+    norm) on the i-g coherences, zero elsewhere, so that the probe
+    absorption of a Hermitian rho is -Im(w . vec(rho))."""
     Bg = dipole_block(scheme.j_intermediate, scheme.j_ground, optics.probe_components())
     norm = np.linalg.norm(Bg)
     W = Bg / norm if norm > 0 else Bg
@@ -311,10 +301,7 @@ def _probe_row(scheme: LevelScheme, optics: OpticalConfig) -> np.ndarray:
     off = scheme.offsets()
     w = np.zeros((n, n), dtype=complex)
     w[off["i"] : off["i"] + W.shape[0], off["g"] : off["g"] + W.shape[1]] = W.conj()
-    # half on rho_ig and half, conjugated and negated, on rho_gi: the
-    # same readout of a Hermitian rho, and one that averages the rounding
-    # of the two computed copies of each coherence
-    return (0.5 * (w - w.conj().T)).reshape(-1)
+    return w.reshape(-1)
 
 
 def probe_absorption(scheme: LevelScheme, params: SimParams, rho: np.ndarray) -> float:

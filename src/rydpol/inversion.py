@@ -389,6 +389,8 @@ def round_trip(
     prominent exactly when phi_true falls in the configuration's
     prominence interval, widened by the pruning's _ANGLE_TOL.  (EIT-level
     round trips with simulated line shapes live in the eitsim demos/tests.)
+    combined intersects the configurations' pruned sets; it is empty, and
+    the trip not recovered, when they contradict each other.
     """
     phi_true = phi_true % _TWO_PI
     free = config_free(cls)  # NotInvertible before any peak error
@@ -400,6 +402,6 @@ def round_trip(
                             0.5, config, 1e-6) for config in dict.fromkeys(configs)]
     combined = results[0].pruned
     for other in results[1:]:
-        combined = combine_candidates(combined, other.pruned, max(angle_tol, 1e-9)) or combined
+        combined = combine_candidates(combined, other.pruned, max(angle_tol, 1e-9))
     recovered = any(_angle_dist(phi_true, c) <= angle_tol for c in combined)
     return RoundTripReport(phi_true, combined, recovered)

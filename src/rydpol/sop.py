@@ -45,13 +45,11 @@ class RfSop:
     """Normalized spherical-basis amplitudes of the RF field.
 
     amp_plus and amp_minus are the coefficients of e_{+1} and e_{-1};
-    |amp_plus|^2 + |amp_minus|^2 = 1.  phi is stored for meridian states
-    built from a phase angle and is None for general states.
+    |amp_plus|^2 + |amp_minus|^2 = 1.
     """
 
     amp_plus: complex
     amp_minus: complex
-    phi: float | None = None
 
     def __post_init__(self):
         norm = abs(self.amp_plus) ** 2 + abs(self.amp_minus) ** 2
@@ -83,7 +81,7 @@ def sop_from_phi(phi: float) -> RfSop:
         raise ValueError("phi must be finite")
     phi = phi % (2.0 * math.pi)
     c, s = math.cos(phi / 2.0), math.sin(phi / 2.0)
-    return RfSop((c + s) / _SQRT2, (c - s) / _SQRT2, phi=phi)
+    return RfSop((c + s) / _SQRT2, (c - s) / _SQRT2)
 
 
 def _unit(v) -> np.ndarray:
@@ -92,23 +90,6 @@ def _unit(v) -> np.ndarray:
     if n < 1e-12:
         raise ValueError("zero-norm vector")
     return v / n
-
-
-def frame_for_axis(axis) -> np.ndarray:
-    """Right-handed orthonormal frame (rows x', y', z') with z' = axis.
-
-    x' is the projection of lab x onto the plane normal to the axis; if the
-    axis is (anti)parallel to x, lab y is projected instead.  Deterministic,
-    so spectra computed in rotated frames are reproducible.
-    """
-    z = _unit(axis)
-    for seed in (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])):
-        xp = seed - np.dot(seed, z) * z
-        if np.linalg.norm(xp) > 1e-9:
-            x = xp / np.linalg.norm(xp)
-            break
-    y = np.cross(z, x)
-    return np.vstack([x, y, z])
 
 
 def spherical_components(pol) -> tuple[complex, complex, complex]:
@@ -160,14 +141,6 @@ class OpticalConfig:
         return spherical_components(self.pol_coupling)
 
 
-def _circular_pol(k) -> tuple:
-    k = _unit(k)
-    frame = frame_for_axis(k)
-    e1, e2 = frame[0], frame[1]
-    p = (e1 + 1j * e2) / _SQRT2
-    return tuple(p)
-
-
 def standard_optics() -> OpticalConfig:
     """Probe along +y, coupling along -y, both linearly polarized along x."""
     return OpticalConfig(
@@ -200,15 +173,14 @@ def rotated_circular_optics() -> OpticalConfig:
     """Circularly polarized beams counter-propagating along y - z.
 
     This geometry breaks the phi <-> 2pi - phi mirror symmetry of the EIT
-    spectrogram, which is what allows RF-helicity discrimination.
+    spectrogram, which is what allows RF-helicity discrimination.  Each
+    Jones vector is (x + i (k cross x)) / sqrt(2), k its beam's unit direction.
     """
-    kp = (0.0, 1.0, -1.0)
-    kc = (0.0, -1.0, 1.0)
     return OpticalConfig(
-        propagation_probe=kp,
-        propagation_coupling=kc,
-        pol_probe=_circular_pol(kp),
-        pol_coupling=_circular_pol(kc),
+        propagation_probe=(0.0, 1.0, -1.0),
+        propagation_coupling=(0.0, -1.0, 1.0),
+        pol_probe=(1.0 / _SQRT2, -0.5j, -0.5j),
+        pol_coupling=(1.0 / _SQRT2, 0.5j, 0.5j),
     )
 
 

@@ -5,8 +5,10 @@ route), labelled by the substates of basis(cls), and the closed-form 3-j
 entry formula of the coupling matrix cross-check dressing's one
 Wigner-Eckart block builder, through which oracle_matrix and
 coupling_matrix are built.  The (1/2, 0) closed-form eigenvalues check
-the dressed spectrum, stokes_from_phi checks RfSop.stokes, and the paper's
-quadratic approximate-envelope inversion brackets the exact one.
+the dressed spectrum, stokes_from_phi checks RfSop.stokes, the paper's
+quadratic approximate-envelope inversion brackets the exact one, and
+lindblad_residual, the Lindblad equation in matrix form, checks the
+steady states of eitsim's vectorized Liouvillian.
 """
 
 import math
@@ -128,3 +130,13 @@ def phase_from_ratio_approx(R: float) -> float:
         math.sqrt(2.0) * R
     )
     return math.asin(min(max(arg, -1.0), 1.0))
+
+
+def lindblad_residual(H: np.ndarray, collapse: np.ndarray, rho: np.ndarray) -> float:
+    """Norm of the matrix-form Lindblad right-hand side, one channel at a
+    time: the reference that liouvillian is tested against."""
+    drho = -1j * (H @ rho - rho @ H)
+    for C in collapse:
+        CdC = C.conj().T @ C
+        drho += C @ rho @ C.conj().T - 0.5 * (CdC @ rho + rho @ CdC)
+    return float(np.linalg.norm(drho))

@@ -22,13 +22,12 @@ from rydpol.dressing import (
     envelopes_exact,
     oracle_matrix,
 )
-from oracles import closed_form_coupling_matrix, closed_form_eigenvalues_half
+from oracles import closed_form_coupling_matrix, closed_form_eigenvalues_half, lindblad_residual
 from rydpol.eitsim import (
     SimParams,
     build_hamiltonian,
     collapse_operators,
     eit_spectrum,
-    lindblad_residual,
     scheme_for_class,
     steady_state,
     third_level_sweep,

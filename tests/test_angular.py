@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import dipole_angular_factor, dipole_angular_factor_generic, orbital_angular_momentum
@@ -21,6 +21,7 @@ class TestHalfInt:
         assert HalfInt.of(2).twice == 4
         assert HalfInt.of(1.5).twice == 3
         assert HalfInt.of(HalfInt(3)) == HalfInt(3)
+        assert HalfInt(3) != 1.5  # a number is coerced through of, never by ==
 
     def test_rejects_non_half_integer(self):
         with pytest.raises(ValueError):
@@ -43,6 +44,16 @@ class TestHalfInt:
     def test_repr(self):
         assert repr(HalfInt(3)) == "HalfInt(3/2)"
         assert repr(HalfInt(4)) == "HalfInt(2)"
+
+    values = st.one_of(st.integers(-8, 8).map(HalfInt), st.integers(-4, 4),
+                       st.integers(-8, 8).map(lambda twice: twice / 2))
+
+    @given(values, values)
+    @example(HalfInt(2), 1)
+    @example(HalfInt(3), 1.5)
+    def test_equal_values_hash_equal(self, a, b):
+        if a == b:
+            assert hash(a) == hash(b)
 
 
 class TestWigner3j:

@@ -2,7 +2,7 @@
 import public callables and its tracer wraps each (module, attr) of
 spans.TARGETS.  Both modules are loaded here by path, unchanged, so a
 rename or deletion that would break `perfbench/run.py --trace 1` fails
-this suite instead."""
+this suite instead, and so does a change that fails a workload's gates."""
 
 import importlib
 import importlib.util
@@ -40,3 +40,20 @@ SPANS = load("spans")
                          ids=[layer for layer, _, _ in SPANS.TARGETS])
 def test_trace_target_resolves(layer, module, attr):
     assert callable(getattr(importlib.import_module(module), attr))
+
+
+WORKLOADS = load("workloads")
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
+def test_one_unit_passes_the_gates(name, tmp_path):
+    """One warmed-up unit of each workload, seed 1, through perfbench's own
+    calls and gates: a change to what the library returns under those
+    calls fails here, not only in a benchmark run."""
+    workload = WORKLOADS.WORKLOADS[name](1, str(tmp_path))
+    workload.warm_up()
+    calls = workload.unit(0)
+    for call in calls:
+        WORKLOADS.run_call(call)
+        assert workload.check(call) == [], call.argv
+    assert workload.self_check(calls) == []

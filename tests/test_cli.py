@@ -391,6 +391,17 @@ class TestEitCommand:
         doc = json.loads(out.read_text())
         assert len(doc["response"]) == 2
 
+    def test_strong_probe_warning_line(self, tmp_path, capsys):
+        path = self.scenario(tmp_path, params={
+            "omega_probe": 7,
+            "coupling_detuning_grid": {"start": -50, "stop": 50, "steps": 21},
+        })
+        for _ in range(2):  # on every run of the re-entrant main
+            rc = main(["eit", "--scenario", str(path), "-o", str(tmp_path / "eit.csv")])
+            assert rc == 0
+            assert capsys.readouterr().err == (
+                "warning: omega_probe exceeds gamma_i; weak-probe response is nonlinear\n")
+
     def test_missing_scenario(self, tmp_path):
         rc = main(["eit", "--scenario", str(tmp_path / "nope.json"),
                    "-o", str(tmp_path / "x.csv")])

@@ -18,7 +18,6 @@ from rydpol.eitsim import (
     collapse_operators,
     eit_spectrogram,
     eit_spectrum,
-    lindblad_residual,
     liouvillian,
     probe_absorption,
     scheme_for_class,
@@ -26,6 +25,7 @@ from rydpol.eitsim import (
     third_level_sweep,
 )
 from rydpol.eitsim import _poles, _probe_row
+from oracles import lindblad_residual
 from rydpol.sop import (
     OPTICS_PRESETS,
     rotated_circular_optics,

@@ -8,7 +8,6 @@ from rydpol.sop import (
     OpticalConfig,
     OPTICS_PRESETS,
     RfSop,
-    frame_for_axis,
     rotated_circular_optics,
     sop_from_phi,
     spherical_components,
@@ -29,8 +28,8 @@ class TestRfSop:
         assert s.amp_minus == pytest.approx(0.0, abs=1e-15)
 
     def test_phi_wraps(self):
-        s = sop_from_phi(2 * math.pi + 0.5)
-        assert s.phi == pytest.approx(0.5)
+        s, ref = sop_from_phi(2 * math.pi + 0.5), sop_from_phi(0.5)
+        assert (s.amp_plus, s.amp_minus) == pytest.approx((ref.amp_plus, ref.amp_minus))
 
     def test_non_finite_phi(self):
         with pytest.raises(ValueError):
@@ -66,16 +65,6 @@ class TestStokes:
 
 
 class TestFrames:
-    def test_orthonormal_right_handed(self):
-        for axis in [(0, 0, 1), (0, 1, -1), (1, 2, 3), (-1, 0, 0)]:
-            f = frame_for_axis(axis)
-            assert np.allclose(f @ f.T, np.eye(3), atol=1e-12)
-            assert np.allclose(np.cross(f[0], f[1]), f[2], atol=1e-12)
-
-    def test_zero_axis_rejected(self):
-        with pytest.raises(ValueError):
-            frame_for_axis((0, 0, 0))
-
     def test_spherical_components_unit(self):
         c = spherical_components((1, 0, 0))
         assert sum(abs(v) ** 2 for v in c) == pytest.approx(1.0)
@@ -136,3 +125,7 @@ class TestOpticalConfig:
                                   "rotated_circular": rotated_circular_optics}
         for factory in OPTICS_PRESETS.values():
             assert isinstance(factory(), OpticalConfig)
+        cfg = rotated_circular_optics()
+        for pol in (cfg.pol_probe, cfg.pol_coupling):
+            p = np.array(pol, dtype=complex)
+            assert abs(p @ p) < 1e-12  # circular: p . p = 0 for a unit Jones vector

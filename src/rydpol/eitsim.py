@@ -12,8 +12,12 @@ the probe response vs coupling detuning Delta_c sit at omega_rf times the
 dressed eigenvalues; optics only reshape peak prominences.  The spectrum
 is one linear readout of the steady state (the probe row on the i-g
 coherences): a sum of poles taken from one reduction, in the real
-coordinates of a Hermitian rho, and one real eigendecomposition per SOP
-that also yields the dark steady state (_poles, eit_spectrum).
+coordinates of a Hermitian rho, and one real eigendecomposition per
+phase angle that also yields the dark steady state (_reduce,
+eit_spectrum).  On the Poincare meridian the RF enters H as two fixed
+terms with the real amplitudes of sop_from_phi, so the reduction is
+built once per scheme and phi-free parameters (_scheme_reduction) and
+each angle only adds its two terms.
 
 All rates and detunings are in MHz (angular frequency units absorbed into
 the Rabi conventions).
@@ -28,7 +32,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -148,6 +153,10 @@ class SimParams:
                 "omega_probe exceeds gamma_i; weak-probe response is nonlinear",
                 stacklevel=3,
             )
+
+
+# what the reduction of a scheme reads of SimParams: _Model's key
+_PHI_FREE = tuple(f.name for f in fields(SimParams) if f.name != "coupling_detuning_grid")
 
 
 def build_hamiltonian(
@@ -324,20 +333,95 @@ class EitSpectrogram:
     response: np.ndarray  # shape (len(phi_grid), len(detuning_mhz))
 
 
-def _poles(L: np.ndarray, m: int, w: np.ndarray) -> tuple:
+@lru_cache(maxsize=None)
+def _twins(n: int) -> tuple:
+    """(lo, hi, sign) over the flat indices k = a n + b of an n x n matrix:
+    lo and hi are the smaller and larger of k and its twin b n + a, the
+    real coordinates of Re rho_ab and Im rho_ab (see _reduce), and sign is
+    +1 where a < b, -1 where a > b and 0 on the diagonal.  Read-only."""
+    k = np.arange(n * n)
+    a, b = np.divmod(k, n)
+    out = (np.minimum(k, b * n + a), np.maximum(k, b * n + a), np.sign(b - a))
+    for x in out:
+        x.setflags(write=False)
+    return out
+
+
+def _real_coordinates(L: np.ndarray, pos: np.ndarray) -> tuple:
+    """Real and imaginary parts of T^-1 L T for the T of _reduce, from the
+    nonzeros of L, with real coordinate k at row and column pos[k].
+
+    Y = L T first: each nonzero L_ij adds L_ij to Y_i,lo(j) and, off the
+    diagonal, +-i L_ij to Y_i,hi(j); then each entry y of Y adds y (a
+    diagonal row i) or y / 2 to row lo(i) and, off the diagonal, -+i y / 2
+    to row hi(i).  No entry of Y or of the result gets more than two
+    terms, so every sum is the one a dense column-then-row pass over L
+    forms, bit for bit."""
+    N = L.shape[0]
+    lo, hi, sign = _twins(math.isqrt(N))
+    flat = np.flatnonzero(L != 0)
+    v = L.reshape(-1)[flat]
+    i, j = np.divmod(flat, N)
+    off = sign[j] != 0
+    s = sign[j[off]]
+    keys, at = np.unique(np.concatenate((i * N + lo[j], i[off] * N + hi[j[off]])),
+                         return_inverse=True)
+    yr = np.bincount(at, np.concatenate((v.real, -s * v.imag[off])))
+    yi = np.bincount(at, np.concatenate((v.imag, s * v.real[off])))
+    i, c = np.divmod(keys, N)
+    off = sign[i] != 0
+    half, s = np.where(off, 0.5, 1.0), 0.5 * sign[i[off]]
+    at = np.concatenate((pos[lo[i]] * N + pos[c], pos[hi[i[off]]] * N + pos[c[off]]))
+    return tuple(np.bincount(at, np.concatenate(w), minlength=N * N).reshape(N, N)
+                 for w in ((half * yr, s * yi[off]), (half * yi, -s * yr[off])))
+
+
+@dataclass(frozen=True)
+class _Reduction:
+    """The real trace-row system of _reduce split into P and Q.  pp and
+    qq stack A_PP and A_QQ of the base generator, then one block per
+    term: the terms only map P to P and Q to Q.  Arrays are read-only."""
+
+    d: np.ndarray  # D x = -d * x[twin] on P
+    twin: np.ndarray  # P position of each P coordinate's twin
+    b: np.ndarray  # b_Q
+    r: np.ndarray  # r_Q
+    pq: np.ndarray  # A_PQ
+    qp: np.ndarray  # A_QP
+    pp: np.ndarray  # (1 + terms, |P|, |P|)
+    qq: np.ndarray  # (1 + terms, |Q|, |Q|)
+
+    def poles(self, *amps) -> tuple:
+        """(lam, c) of the generator base + sum_k amps[k] * term k."""
+        coef = np.array((1.0,) + amps)
+        A_PP, A_QQ = np.tensordot(coef, self.pp, 1), np.tensordot(coef, self.qq, 1)
+        sol = np.linalg.solve(A_QQ, np.column_stack((self.b, self.qp)))
+        x0, G = sol[:, 0], sol[:, 1:]
+        S = A_PP - self.pq @ G
+        M = self.d[:, None] * S[self.twin]
+        if not np.all(np.isfinite(M)):
+            raise np.linalg.LinAlgError("Schur complement is not finite")
+        lam, V = np.linalg.eig(M)
+        g = -self.d * (self.pq @ x0)[self.twin]
+        return lam, 1j * ((self.r @ G) @ V) * np.linalg.solve(V, g)
+
+
+def _reduce(L: np.ndarray, m: int, w: np.ndarray, rf=()) -> _Reduction:
     """Reduce the trace-row steady-state system A(Delta_c) x = e_0, with
-    A(Delta_c) = L + Delta_c D, to its poles and the residues of one
-    readout row (overwrites L).
+    A(Delta_c) = L + Delta_c D, toward its poles and the residues of one
+    readout row (overwrites L).  rf is empty or a pair of Hermitian RF
+    Hamiltonians X; each adds a term, the generator -i[X, .], to be
+    scaled per _Reduction.poles.
 
     The system is real in the coordinates x of a Hermitian rho that hold,
     for a < b, Re rho_ab at the flat index u = a n + b and Im rho_ab at its
     twin l = b n + a: rho = T x, T_u = e_u + e_l, T_l = i (e_u - e_l), and
-    A = T^-1 L T is one elementwise pass over L.  H(Delta_c) = H(0) -
-    Delta_c on the Rydberg diagonal (states m and up), so D is zero except
-    on the coherences between a Rydberg and a non-Rydberg state (the set
-    P), where it maps each (Re, Im) pair by +-[[0, -1], [1, 0]]; the rest
-    (the set Q) holds the trace row and the probe coherences.  Eliminating
-    Q leaves
+    A = T^-1 L T is taken from the nonzeros of L (_real_coordinates).
+    H(Delta_c) = H(0) - Delta_c on the Rydberg diagonal (states m and up),
+    so D is zero except on the coherences between a Rydberg and a
+    non-Rydberg state (the set P), where it maps each (Re, Im) pair by
+    +-[[0, -1], [1, 0]]; the rest (the set Q) holds the trace row and the
+    probe coherences.  Eliminating Q leaves
         x_Q = x0 - G x_P,    (M + Delta_c) x_P = g,
     with x0 = A_QQ^-1 b_Q, G = A_QQ^-1 A_QP, the Schur complement
     S = A_PP - A_PQ G and M = D_PP^-1 S = V diag(lam) V^-1.  D_PP^-1 is
@@ -347,57 +431,104 @@ def _poles(L: np.ndarray, m: int, w: np.ndarray) -> tuple:
     neither: x0 is the dark steady state (coupling laser off, x_P = 0).
     For a readout row w that is zero on P and r = Im(w T),
         Im(w . vec(rho)) = r_Q x0 - Im sum_k c_k / (Delta_c + lam_k),
-    with c = i (r_Q G V) * (V^-1 g).  Returns (lam, c).
+    with c = i (r_Q G V) * (V^-1 g).
     """
     n = math.isqrt(L.shape[0])
     ryd = (np.arange(n) >= m).astype(float)
-    d = np.repeat(ryd, n) - np.tile(ryd, n)  # D x = -d * x[twin] on P
+    d = np.repeat(ryd, n) - np.tile(ryd, n)
     p, q = np.flatnonzero(d), np.flatnonzero(d == 0)
     b = _impose_trace(L, n).real
-    lo, hi = np.triu_indices(n, 1)
-    u, l = lo * n + hi, hi * n + lo
-    w = w[None, :].copy()
-    for X in (L, w):
-        Xu, Xl = X[:, u], X[:, l]
-        X[:, u], X[:, l] = Xu + Xl, 1j * (Xu - Xl)
-    Ru, Rl = L[u], L[l]
-    L[u], L[l] = 0.5 * (Ru + Rl), -0.5j * (Ru - Rl)
-    A, r = L.real, w[0].imag
-    twin = np.searchsorted(p, (p % n) * n + p // n)  # P position of each twin
-    A_PQ = A[np.ix_(p, q)]
-    sol = np.linalg.solve(A[np.ix_(q, q)], np.column_stack((b[q], A[np.ix_(q, p)])))
-    x0, G = sol[:, 0], sol[:, 1:]
-    S = A[np.ix_(p, p)] - A_PQ @ G
-    M = d[p, None] * S[twin]
-    if not np.all(np.isfinite(M)):
-        raise np.linalg.LinAlgError("Schur complement is not finite")
-    lam, V = np.linalg.eig(M)
-    g = -d[p] * (A_PQ @ x0)[twin]
-    return lam, 1j * ((r[q] @ G) @ V) * np.linalg.solve(V, g)
+    lo, hi, sign = _twins(n)
+    u, l = lo[sign > 0], hi[sign > 0]
+    w = w.copy()
+    wu, wl = w[u], w[l]
+    w[u], w[l] = wu + wl, 1j * (wu - wl)
+    pos = np.empty(n * n, dtype=int)
+    pos[np.concatenate((p, q))] = np.arange(n * n)  # P first, then Q
+    k = len(p)
+    terms = ()
+    if rf:
+        # -i[X, .] has no decay and no trace row, and it is complex linear
+        # in X and real in these coordinates for a Hermitian X: one
+        # generator of X_1 + i X_2 holds the term of X_1 in its real part
+        # and that of X_2 in its imaginary part.  Built before the base
+        # pass, whose arrays then reuse its memory
+        no_decay = np.zeros((0, n, n), dtype=complex)
+        terms = _real_coordinates(liouvillian(rf[0] + 1j * rf[1], no_decay), pos)
+    A, _ = _real_coordinates(L, pos)
+    out = _Reduction(d[p], np.searchsorted(p, (p % n) * n + p // n), b[q], w.imag[q],
+                     A[:k, k:].copy(), A[k:, :k].copy(),
+                     np.stack([X[:k, :k] for X in (A, *terms)]),
+                     np.stack([X[k:, k:] for X in (A, *terms)]))
+    for x in vars(out).values():
+        x.setflags(write=False)
+    return out
 
 
-def eit_spectrum(scheme: LevelScheme, params: SimParams, sop: RfSop | float) -> EitSpectrum:
-    """Probe transparency vs coupling detuning for one SOP: the dark
-    baseline (probe absorption with the coupling laser off) minus the
+class _Model:
+    """A scheme and its SimParams, hashed and compared by the scheme and
+    the fields of params that _scheme_reduction reads: all but the
+    detuning grid."""
+
+    __slots__ = ("scheme", "params", "key")
+
+    def __init__(self, scheme: LevelScheme, params: SimParams):
+        self.scheme, self.params = scheme, params
+        self.key = (scheme,) + tuple(getattr(params, name) for name in _PHI_FREE)
+
+    def __hash__(self):
+        return hash(self.key)
+
+    def __eq__(self, other):
+        return self.key == other.key
+
+
+@lru_cache(maxsize=4)
+def _scheme_reduction(model: _Model) -> _Reduction:
+    """The phi-free reduction of one scheme and its parameters, built once.
+
+    On the meridian H(phi) = H0 + a_plus X_plus + a_minus X_minus, with the
+    real amplitudes a of sop_from_phi and X the RF of the unit SOPs
+    RfSop(1, 0) and RfSop(0, 1), all of H between distinct Rydberg
+    states.  The Liouvillian is affine in H, so the RF terms are the
+    generators -i[X, .] without decay; X only couples Rydberg states, so
+    they map P to P and Q to Q and carry no trace row.  About 4 MB per
+    entry at N = 484."""
+    scheme, params = model.scheme, model.params
+    m = scheme.offsets()["r1"]
+    collapse = collapse_operators(scheme, params)
+    H = [build_hamiltonian(scheme, params, sop, 0.0)
+         for sop in (RfSop(1.0, 0.0), RfSop(0.0, 1.0))]
+    H0 = H[0].copy()
+    H0[m:, m:] *= np.eye(len(H0) - m)
+    return _reduce(liouvillian(H0, collapse), m, _probe_row(scheme, params.optics),
+                   [X - H0 for X in H])
+
+
+def eit_spectrum(scheme: LevelScheme, params: SimParams, phi: float) -> EitSpectrum:
+    """Probe transparency vs coupling detuning at phase angle phi: the
+    dark baseline (probe absorption with the coupling laser off) minus the
     probe absorption, clipped at zero.
 
     The coupling detuning enters the Liouvillian only as a diagonal shift,
     and the probe readout is one linear function of the steady state, so
     the response is a sum of poles, -Im sum_k c_k / (Delta_c + lam_k),
-    from one real reduction and one real eigendecomposition per SOP
-    (_poles).  No linear system is solved per detuning and no density
-    matrix is formed.  steady_state and probe_absorption stay the dense
-    reference that this is tested against.  LinAlgError if the reduction
-    or the response is not finite.
+    from one real reduction and one real eigendecomposition per angle
+    (_reduce).  The reduction's phi-free blocks are built once per scheme
+    and parameters other than the grid (_scheme_reduction); an angle adds
+    its two RF terms to them.  No linear system is solved per detuning and
+    no density matrix is formed.  steady_state and probe_absorption stay
+    the dense reference that this is tested against.  LinAlgError if the
+    reduction or the response is not finite.
     """
     grid = np.asarray(params.coupling_detuning_grid, dtype=float)
+    sop = sop_from_phi(phi)
     # finite parameters so large that H or L overflows, or a pole on the
     # grid (a vanishing decay rate), are reported by the finiteness checks
     # (or by the LinAlgError of a solve), not as warnings
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        L = liouvillian(build_hamiltonian(scheme, params, sop, 0.0),
-                        collapse_operators(scheme, params))
-        lam, c = _poles(L, scheme.offsets()["r1"], _probe_row(scheme, params.optics))
+        reduction = _scheme_reduction(_Model(scheme, params))
+        lam, c = reduction.poles(sop.amp_plus, sop.amp_minus)
         response = -np.imag((1.0 / (grid[:, None] + lam)) @ c)
     if not np.all(np.isfinite(response)):
         raise np.linalg.LinAlgError("EIT response is not finite")

@@ -6,9 +6,11 @@ entry formula of the coupling matrix cross-check dressing's one
 Wigner-Eckart block builder, through which oracle_matrix and
 coupling_matrix are built.  The (1/2, 0) closed-form eigenvalues check
 the dressed spectrum, stokes_from_phi checks RfSop.stokes, the paper's
-quadratic approximate-envelope inversion brackets the exact one, and
+quadratic approximate-envelope inversion brackets the exact one,
 lindblad_residual, the Lindblad equation in matrix form, checks the
-steady states of eitsim's vectorized Liouvillian.
+steady states of eitsim's vectorized Liouvillian, and the dense
+elementwise pass of real_coordinates_dense checks eitsim's pass to real
+coordinates from the nonzeros.
 """
 
 import math
@@ -140,3 +142,19 @@ def lindblad_residual(H: np.ndarray, collapse: np.ndarray, rho: np.ndarray) -> f
         CdC = C.conj().T @ C
         drho += C @ rho @ C.conj().T - 0.5 * (CdC @ rho + rho @ CdC)
     return float(np.linalg.norm(drho))
+
+
+def real_coordinates_dense(L: np.ndarray) -> np.ndarray:
+    """T^-1 L T by one elementwise pass over the dense L, columns first,
+    then rows, for the real coordinates of eitsim._reduce: Re rho_ab at
+    u = a n + b and Im rho_ab at l = b n + a for a < b, so T_u = e_u + e_l
+    and T_l = i (e_u - e_l).  The reference for eitsim._real_coordinates."""
+    n = math.isqrt(L.shape[0])
+    L = L.copy()
+    lo, hi = np.triu_indices(n, 1)
+    u, l = lo * n + hi, hi * n + lo
+    Xu, Xl = L[:, u], L[:, l]
+    L[:, u], L[:, l] = Xu + Xl, 1j * (Xu - Xl)
+    Ru, Rl = L[u], L[l]
+    L[u], L[l] = 0.5 * (Ru + Rl), -0.5j * (Ru - Rl)
+    return L

@@ -391,7 +391,7 @@ class TestEitCommand:
         doc = json.loads(out.read_text())
         assert len(doc["response"]) == 2
 
-    def test_strong_probe_warning_line(self, tmp_path, capsys):
+    def test_strong_probe_warning_line(self, tmp_path, capsys, recwarn):
         path = self.scenario(tmp_path, params={
             "omega_probe": 7,
             "coupling_detuning_grid": {"start": -50, "stop": 50, "steps": 21},
@@ -401,6 +401,10 @@ class TestEitCommand:
             assert rc == 0
             assert capsys.readouterr().err == (
                 "warning: omega_probe exceeds gamma_i; weak-probe response is nonlinear\n")
+        # the line is the only report: no raw warning escapes main, which
+        # a SimParams built again past the CLI (say, with
+        # dataclasses.replace) would raise
+        assert [str(w.message) for w in recwarn] == []
 
     def test_missing_scenario(self, tmp_path):
         rc = main(["eit", "--scenario", str(tmp_path / "nope.json"),

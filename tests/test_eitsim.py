@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partial
 from itertools import product
 
@@ -24,8 +24,8 @@ from rydpol.eitsim import (
     steady_state,
     third_level_sweep,
 )
-from rydpol.eitsim import _poles, _probe_row
-from oracles import lindblad_residual
+from rydpol.eitsim import _Model, _probe_row, _real_coordinates, _reduce, _scheme_reduction
+from oracles import lindblad_residual, real_coordinates_dense
 from rydpol.sop import (
     OPTICS_PRESETS,
     rotated_circular_optics,
@@ -371,7 +371,7 @@ def _weak_drive_poles(cls, phi, omega_rf):
     s = scheme_for_class(cls)
     p = small_params(omega_probe=0.05, omega_coupling=0.05, omega_rf=omega_rf)
     L = liouvillian(build_hamiltonian(s, p, phi, 0.0), collapse_operators(s, p))
-    return _poles(L, s.offsets()["r1"], _probe_row(s, p.optics))
+    return _reduce(L, s.offsets()["r1"], _probe_row(s, p.optics)).poles()
 
 
 def _central_source_share(lam, c):
@@ -450,7 +450,7 @@ class TestSchurSweep:
         p = small_params(omega_coupling=omega_coupling, gamma_r=gamma_r, omega_rf=omega_rf)
         H = build_hamiltonian(s, p, phi, 0.0)
         ops, r1, w = collapse_operators(s, p), s.offsets()["r1"], _probe_row(s, p.optics)
-        lam, c = _poles(liouvillian(H, ops), r1, w)
+        lam, c = _reduce(liouvillian(H, ops), r1, w).poles()
         assert np.array_equal(np.sort_complex(lam), np.sort_complex(lam.conj()))
         assert np.abs(lam.imag).min() >= (1 - 1e-9) * gamma_r / 2
         if cls == HALF_PLUS:
@@ -465,7 +465,7 @@ class TestSchurSweep:
             _, sv, vh = np.linalg.svd(H[r1:r2.start, r2])
             dark = vh[np.count_nonzero(sv > 1e-9):].conj()  # rows H[r1, r2] maps to 0
             H[r2, r2] += dark.T @ dark.conj()
-            shifted, c = _poles(liouvillian(H, ops), r1, w)
+            shifted, c = _reduce(liouvillian(H, ops), r1, w).poles()
             new = np.abs(shifted[:, None] - lam[None, :]).min(axis=1) > 1e-6
             # each dark state's coherences with the 6 g and i states, Re and Im
             assert np.count_nonzero(new) == 12 * len(dark)
@@ -537,3 +537,107 @@ class TestThirdLevel:
         b = eit_spectrum(s3, p, 1.2).response
         assert np.max(np.abs(a - b)) < 1e-5
 
+
+
+def _dense_response(s, p, phi, detunings):
+    """The dense reference of eit_spectrum at a few detunings: the dark
+    steady_state of the full system minus probe_absorption of a full
+    steady_state solve at each detuning, clipped at zero."""
+    collapse = collapse_operators(s, p)
+    dark = replace(p, omega_coupling=0.0)
+    baseline = probe_absorption(
+        s, dark, steady_state(build_hamiltonian(s, dark, phi, 0.0), collapse))
+    return np.array([max(baseline - probe_absorption(
+        s, p, steady_state(build_hamiltonian(s, p, phi, dc), collapse)), 0.0)
+        for dc in detunings])
+
+
+# a new value for each field of SimParams but the grid, and for the scheme's
+# third-level offset; a field added to SimParams must be added here
+_NEW_VALUE = {
+    "omega_probe": st.floats(0.1, 2.0),
+    "omega_coupling": st.floats(0.5, 8.0),
+    "omega_rf": st.floats(0.0, 50.0),
+    "gamma_i": st.floats(3.0, 8.0),
+    "gamma_r": st.floats(0.05, 1.0),
+    "delta_probe": st.floats(-5.0, 5.0),
+    "optics": st.sampled_from(list(OPTICS_PRESETS.values())).map(lambda preset: preset()),
+    "delta3": st.floats(20.0, 400.0),
+}
+
+
+class TestSchemeReduction:
+    @settings(max_examples=30, deadline=None)
+    @given(name=st.sampled_from([f.name for f in fields(SimParams)
+                                 if f.name != "coupling_detuning_grid"] + ["delta3"]),
+           phi=st.floats(0.0, 2 * math.pi), data=st.data())
+    def test_cache_key_is_complete(self, name, phi, data):
+        # a spectrum with params A puts A's reduction in the cache; one
+        # with params B, which differs in a single field, must not be
+        # read from it: B matches the dense reference
+        s = scheme_for_class(HALF_ZERO, third_delta3_mhz=100.0)
+        p = small_params(coupling_detuning_grid=tuple(np.linspace(-50, 50, 21)))
+        eit_spectrum(s, p, phi)
+        value = data.draw(_NEW_VALUE[name])
+        if name == "delta3":
+            s = replace(s, third=replace(s.third, delta3_mhz=value))
+        else:
+            p = replace(p, **{name: value})
+        response = eit_spectrum(s, p, phi).response
+        k = [0, 7, 10, 13, 20]
+        ref = _dense_response(s, p, phi, np.asarray(p.coupling_detuning_grid)[k])
+        assert np.max(np.abs(response[k] - ref)) <= 1e-9 * response.max()
+
+    def test_grid_change_is_a_cache_hit(self):
+        s = scheme_for_class(FIVE_HALF, third_delta3_mhz=60.0)
+        p = small_params()
+        eit_spectrum(s, p, 0.4)
+        before = _scheme_reduction.cache_info()
+        other = replace(p, coupling_detuning_grid=(-3.0, 0.0, 3.0))
+        eit_spectrum(s, other, 1.1)
+        after = _scheme_reduction.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert _scheme_reduction(_Model(s, other)) is _scheme_reduction(_Model(s, p))
+
+    def test_cached_arrays_read_only_and_cache_bounded(self):
+        s = scheme_for_class(HALF_ZERO)
+        reduction = _scheme_reduction(_Model(s, small_params()))
+        for name, x in vars(reduction).items():
+            with pytest.raises(ValueError, match="read-only"):
+                x[...] = 0.0
+        for omega_rf in (10.0, 20.0, 30.0, 40.0, 50.0):
+            eit_spectrum(s, small_params(omega_rf=omega_rf), 0.7)
+        info = _scheme_reduction.cache_info()
+        assert info.maxsize == 4 and info.currsize == 4
+
+
+class TestRealCoordinates:
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 22), channels=st.integers(0, 4), zeros=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_dense_pass_bit_for_bit(self, n, channels, zeros, seed):
+        # random complex H and jump operators, with a random share of L's
+        # entries zeroed, in a random order of the real coordinates
+        rng = np.random.default_rng(seed)
+        H = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        C = rng.normal(size=(channels, n, n)) + 1j * rng.normal(size=(channels, n, n))
+        L = liouvillian(H, C)
+        L[rng.random(L.shape) < zeros] = 0.0
+        pos = rng.permutation(n * n)
+        re, im = _real_coordinates(L, pos)
+        ref = real_coordinates_dense(L)
+        assert np.array_equal(re[np.ix_(pos, pos)], ref.real)
+        assert np.array_equal(im[np.ix_(pos, pos)], ref.imag)
+
+    @pytest.mark.parametrize("cls,third", [(HALF_ZERO, None), (FIVE_HALF, None),
+                                           (FIVE_HALF, 100.0)], ids=["100", "256", "484"])
+    def test_scheme_generator_is_real(self, cls, third):
+        # a Lindblad generator maps Hermitian rho to Hermitian rho, so it is
+        # real in these coordinates: the same pass, bit for bit, and no
+        # imaginary part
+        s = scheme_for_class(cls, third_delta3_mhz=third)
+        p = small_params(optics=tilted_linear_optics())
+        L = liouvillian(build_hamiltonian(s, p, 1.0, 0.0), collapse_operators(s, p))
+        re, im = _real_coordinates(L, np.arange(L.shape[0]))
+        assert np.array_equal(re, real_coordinates_dense(L).real)
+        assert np.max(np.abs(im)) <= 1e-13 * np.max(np.abs(re))

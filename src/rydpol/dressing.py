@@ -25,8 +25,6 @@ import numpy as np
 from .angular import HalfInt, reduced_coupling_strength, wigner3j
 from .sop import RfSop
 
-_SQRT2 = math.sqrt(2.0)
-
 
 @dataclass(frozen=True)
 class TransitionClass:
@@ -103,18 +101,23 @@ class EnvelopePair:
 
 
 @lru_cache(maxsize=None)
-def _channel_matrices(cls: TransitionClass) -> tuple:
+def channel_matrices(cls: TransitionClass) -> tuple:
     """phi-independent coefficient matrices (C_plus, C_minus) such that the
     coupling matrix is C_plus*(cos(phi/2)+sin(phi/2)) + C_minus*(cos-sin):
     the oracle matrices of the pure e_{+1} and e_{-1} SOPs, class-scaled.
+    This is the one meridian split: eitsim's RF terms are built from it.
+    Cached per class; the arrays are read-only.
     """
-    return tuple(_class_scale(cls) * oracle_matrix(cls, sop).real
-                 for sop in (RfSop(1.0, 0.0), RfSop(0.0, 1.0)))
+    out = tuple(_class_scale(cls) * oracle_matrix(cls, sop).real
+                for sop in (RfSop(1.0, 0.0), RfSop(0.0, 1.0)))
+    for c in out:
+        c.setflags(write=False)
+    return out
 
 
 def coupling_matrix(cls: TransitionClass, phi: float) -> np.ndarray:
     """Real symmetric angular coupling matrix at phase angle phi."""
-    c_plus, c_minus = _channel_matrices(cls)
+    c_plus, c_minus = channel_matrices(cls)
     ch, sh = math.cos(phi / 2.0), math.sin(phi / 2.0)
     return c_plus * (ch + sh) + c_minus * (ch - sh)
 
@@ -151,38 +154,24 @@ def dipole_block(j_upper: HalfInt, j_lower: HalfInt, components,
     return c_minus * U[0] + c_zero * U[1] + c_plus * U[2]
 
 
-def rf_block(cls: TransitionClass, c_minus, c_plus) -> np.ndarray:
-    """RF dipole block (r2 rows x r1 columns) of a transition class for the
-    spherical components (c_minus, c_plus), radial scale 1; each entry is
-    sum_q c_q times the angular part of <J' m'| r_q |J m>."""
-    sign = -1.0 if ((cls.J.twice - 1) // 2) % 2 else 1.0
-    return dipole_block(cls.j_prime, cls.J, (c_minus, 0.0, c_plus),
-                        sign * reduced_coupling_strength(cls.J, cls.p))
-
-
 def oracle_matrix(cls: TransitionClass, sop: RfSop) -> np.ndarray:
     """Brute-force dressing matrix from Wigner-Eckart dipole elements and the
-    SOP's spherical amplitudes (radial scale 1), Hermitized.
+    SOP's spherical amplitudes (radial scale 1), Hermitized: the r2 x r1
+    block is sum_q c_q times the angular part of <J' m'| r_q |J m>.
 
-    coupling_matrix is built from it (the pure e_{+-1} SOPs, cached per
-    class), so its eigenvalue multiset matches coupling_matrix's up to the
-    one global positive scale oracle_scale.
+    channel_matrices is built from it at the pure e_{+-1} SOPs, so at a
+    meridian SOP its eigenvalue multiset matches coupling_matrix's up to
+    one global positive scale: sqrt2 (the RfSop amplitudes are 1/sqrt2 of
+    the phase-angle form per channel) times the class scale.
     """
-    block = rf_block(cls, sop.amp_minus, sop.amp_plus)
+    sign = -1.0 if ((cls.J.twice - 1) // 2) % 2 else 1.0
+    block = dipole_block(cls.j_prime, cls.J, (sop.amp_minus, 0.0, sop.amp_plus),
+                         sign * reduced_coupling_strength(cls.J, cls.p))
     n1 = cls.dim_r1
     H = np.zeros((cls.dim, cls.dim), dtype=complex)
     H[n1:, :n1] = block
     H[:n1, n1:] = block.conj().T
     return H
-
-
-def oracle_scale(cls: TransitionClass) -> float:
-    """Positive scale s with eigvals(coupling_matrix) = s * eigvals(oracle).
-
-    The oracle uses unit-normalized SOP amplitudes (1/sqrt(2) smaller per
-    channel than the phase-angle form) and the raw angular normalization.
-    """
-    return _SQRT2 * _class_scale(cls)
 
 
 def group_degeneracies(eigenvalues: np.ndarray, tol: float) -> tuple:

@@ -15,9 +15,10 @@ coherences): a sum of poles taken from one reduction, in the real
 coordinates of a Hermitian rho, and one real eigendecomposition per
 phase angle that also yields the dark steady state (_reduce,
 eit_spectrum).  On the Poincare meridian the RF enters H as two fixed
-terms with the real amplitudes of sop_from_phi, so the reduction is
-built once per scheme and phi-free parameters (_scheme_reduction) and
-each angle only adds its two terms.
+terms with the real amplitudes of sop_from_phi, taken from dressing's
+channel matrices (_meridian_split), so the reduction is built once per
+scheme and phi-free parameters (_scheme_reduction) and each angle only
+adds its two terms.
 
 All rates and detunings are in MHz (angular frequency units absorbed into
 the Rabi conventions).
@@ -38,8 +39,8 @@ from functools import lru_cache
 import numpy as np
 
 from .angular import HalfInt
-from .dressing import TransitionClass, dipole_block, oracle_scale, rf_block
-from .sop import OpticalConfig, RfSop, sop_from_phi, standard_optics
+from .dressing import TransitionClass, channel_matrices, dipole_block
+from .sop import OpticalConfig, sop_from_phi, standard_optics
 
 
 @dataclass(frozen=True)
@@ -159,29 +160,25 @@ class SimParams:
 _PHI_FREE = tuple(f.name for f in fields(SimParams) if f.name != "coupling_detuning_grid")
 
 
-def build_hamiltonian(
-    scheme: LevelScheme, params: SimParams, sop: RfSop | float, delta_c: float
-) -> np.ndarray:
-    """Rotating-frame, rotating-wave Hamiltonian (MHz) at one coupling
-    detuning.  sop may be an RfSop or a phase angle."""
-    if not isinstance(sop, RfSop):
-        sop = sop_from_phi(float(sop))
+def _meridian_split(scheme: LevelScheme, params: SimParams) -> tuple:
+    """(H0, X_plus, X_minus): the rotating-frame, rotating-wave Hamiltonian
+    (MHz) at Delta_c = 0 with the RF off, and its two RF terms, so that
+    H(phi) = H0 + a_plus X_plus + a_minus X_minus with the amplitudes of
+    sop_from_phi.  X_plus = -omega_rf sqrt2 C_plus and X_minus = +omega_rf
+    sqrt2 C_minus, from dressing.channel_matrices of the class (r1-r2)
+    and of the class (J, p3) (r1-r3): sqrt2 takes the RfSop amplitudes to
+    the cos(phi/2) +- sin(phi/2) of coupling_matrix, and the minus is the
+    lab-frame sign of e_{+1} (RfSop.lab_spherical), the frame in which
+    the RF interferes with the optical channels."""
     n = scheme.n_states
     off = scheme.offsets()
     ji = scheme.j_intermediate
-    ni = ji.twice + 1
-    H = np.zeros((n, n), dtype=complex)
 
     # diagonal: rotating-frame detunings
-    dp, dc = params.delta_probe, delta_c
-    for k in range(ni):
-        H[off["i"] + k, off["i"] + k] = -dp
-    for k in range(scheme.cls.dim):
-        H[off["r1"] + k, off["r1"] + k] = -dp - dc
+    diag = np.where(np.arange(n) < off["i"], 0.0, -params.delta_probe)
     if scheme.third is not None:
-        n3 = scheme.third.j3.twice + 1
-        for k in range(n3):
-            H[off["r3"] + k, off["r3"] + k] = -dp - dc + scheme.third.delta3_mhz
+        diag[off["r3"]:] += scheme.third.delta3_mhz
+    H = np.diag(diag.astype(complex))
 
     # the dipole blocks below all sit below the diagonal; the whole matrix
     # is Hermitized at the end
@@ -199,26 +196,36 @@ def build_hamiltonian(
     j_target = scheme.cls.J if scheme.coupling_target == "r1" else scheme.cls.j_prime
     put(off[scheme.coupling_target], off["i"],
         params.omega_coupling / 2.0 * dipole_block(j_target, ji, cc))
-
-    # RF dressing r1 -> r2 in the lab frame, where it interferes with the
-    # optical channels
-    rf_minus, rf_plus = sop.lab_spherical()
-
-    def rf(cls):
-        return rf_block(cls, rf_minus, rf_plus) * (oracle_scale(cls) * params.omega_rf)
-
-    put(off["r2"], off["r1"], rf(scheme.cls))
-
-    if scheme.third is not None:
-        j3 = scheme.third.j3
-        # RF r1 -> r3, off-resonant by delta3 (handled on the diagonal)
-        p3 = (j3.twice - scheme.cls.J.twice) // 2  # 0 or +1, see LevelScheme
-        put(off["r3"], off["r1"], rf(TransitionClass(scheme.cls.J, p3)))
-        # coupling laser also reaches r3 when it shares the target's parity
-        if scheme.coupling_target == "r2":
-            put(off["r3"], off["i"], params.omega_coupling / 2.0 * dipole_block(j3, ji, cc))
-
+    # the coupling laser also reaches r3 when it shares the target's parity
+    if scheme.third is not None and scheme.coupling_target == "r2":
+        put(off["r3"], off["i"],
+            params.omega_coupling / 2.0 * dipole_block(scheme.third.j3, ji, cc))
     H = H + H.conj().T - np.diag(np.diag(H).real)
+
+    # RF r1 <-> r2, and r1 <-> r3 off-resonant by delta3 (on the diagonal)
+    m, n1, dim = off["r1"], scheme.cls.dim_r1, scheme.cls.dim
+    X = np.zeros((2, n, n))
+    X[:, m : m + dim, m : m + dim] = channel_matrices(scheme.cls)
+    if scheme.third is not None:
+        p3 = (scheme.third.j3.twice - scheme.cls.J.twice) // 2  # 0 or +1, see LevelScheme
+        C3 = np.array(channel_matrices(TransitionClass(scheme.cls.J, p3)))[:, n1:, :n1]
+        X[:, off["r3"]:, m : m + n1] = C3
+        X[:, m : m + n1, off["r3"]:] = C3.transpose(0, 2, 1)
+    scale = params.omega_rf * math.sqrt(2.0)
+    return H, -scale * X[0], scale * X[1]
+
+
+def build_hamiltonian(
+    scheme: LevelScheme, params: SimParams, phi: float, delta_c: float
+) -> np.ndarray:
+    """Rotating-frame, rotating-wave Hamiltonian (MHz) at phase angle phi
+    and one coupling detuning: H0 + a_plus X_plus + a_minus X_minus of
+    _meridian_split, minus delta_c on the Rydberg diagonal."""
+    H0, X_plus, X_minus = _meridian_split(scheme, params)
+    sop = sop_from_phi(phi)
+    H = H0 + sop.amp_plus * X_plus + sop.amp_minus * X_minus
+    ryd = np.arange(scheme.offsets()["r1"], scheme.n_states)
+    H[ryd, ryd] -= delta_c
     return H
 
 
@@ -304,8 +311,7 @@ def _probe_row(scheme: LevelScheme, optics: OpticalConfig) -> np.ndarray:
     norm) on the i-g coherences, zero elsewhere, so that the probe
     absorption of a Hermitian rho is -Im(w . vec(rho))."""
     Bg = dipole_block(scheme.j_intermediate, scheme.j_ground, optics.probe_components())
-    norm = np.linalg.norm(Bg)
-    W = Bg / norm if norm > 0 else Bg
+    W = Bg / np.linalg.norm(Bg)
     n = scheme.n_states
     off = scheme.offsets()
     w = np.zeros((n, n), dtype=complex)
@@ -485,24 +491,17 @@ class _Model:
 
 @lru_cache(maxsize=4)
 def _scheme_reduction(model: _Model) -> _Reduction:
-    """The phi-free reduction of one scheme and its parameters, built once.
-
-    On the meridian H(phi) = H0 + a_plus X_plus + a_minus X_minus, with the
-    real amplitudes a of sop_from_phi and X the RF of the unit SOPs
-    RfSop(1, 0) and RfSop(0, 1), all of H between distinct Rydberg
-    states.  The Liouvillian is affine in H, so the RF terms are the
-    generators -i[X, .] without decay; X only couples Rydberg states, so
-    they map P to P and Q to Q and carry no trace row.  About 4 MB per
-    entry at N = 484."""
+    """The phi-free reduction of one scheme and its parameters, built once
+    from the static H0 and the two RF terms of _meridian_split.  The
+    Liouvillian is affine in H, so the RF terms are the generators
+    -i[X, .] without decay; X only couples Rydberg states, so they map P
+    to P and Q to Q and carry no trace row.  About 4 MB per entry at
+    N = 484."""
     scheme, params = model.scheme, model.params
-    m = scheme.offsets()["r1"]
-    collapse = collapse_operators(scheme, params)
-    H = [build_hamiltonian(scheme, params, sop, 0.0)
-         for sop in (RfSop(1.0, 0.0), RfSop(0.0, 1.0))]
-    H0 = H[0].copy()
-    H0[m:, m:] *= np.eye(len(H0) - m)
-    return _reduce(liouvillian(H0, collapse), m, _probe_row(scheme, params.optics),
-                   [X - H0 for X in H])
+    H0, X_plus, X_minus = _meridian_split(scheme, params)
+    return _reduce(liouvillian(H0, collapse_operators(scheme, params)),
+                   scheme.offsets()["r1"], _probe_row(scheme, params.optics),
+                   (X_plus, X_minus))
 
 
 def eit_spectrum(scheme: LevelScheme, params: SimParams, phi: float) -> EitSpectrum:

@@ -116,8 +116,15 @@ class TestCouplingMatrix:
             raise AssertionError("wigner3j called")
 
         monkeypatch.setattr(dressing, "wigner3j", no_3j)
-        dressing._channel_matrices.cache_clear()
+        dressing.channel_matrices.cache_clear()
         assert coupling_matrix(FIVE_HALF, 0.3).shape == (10, 10)
+
+    def test_cached_channel_matrices_read_only(self):
+        # one write into the per-class cache would move every later
+        # coupling matrix and EIT Hamiltonian of the class
+        for c in dressing.channel_matrices(FIVE_HALF):
+            with pytest.raises(ValueError, match="read-only"):
+                c[4, 0] = 1.0
 
 
 class TestOracle:

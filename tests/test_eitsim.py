@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rydpol.angular import HalfInt
-from rydpol.dressing import EXPERIMENTAL_CLASSES, TransitionClass, eigen_spectrum
+from rydpol.dressing import (
+    EXPERIMENTAL_CLASSES,
+    TransitionClass,
+    _class_scale,
+    channel_matrices,
+    eigen_spectrum,
+    oracle_matrix,
+)
 from rydpol.eitsim import (
     LevelScheme,
     SimParams,
@@ -24,10 +31,18 @@ from rydpol.eitsim import (
     steady_state,
     third_level_sweep,
 )
-from rydpol.eitsim import _Model, _probe_row, _real_coordinates, _reduce, _scheme_reduction
+from rydpol.eitsim import (
+    _meridian_split,
+    _Model,
+    _probe_row,
+    _real_coordinates,
+    _reduce,
+    _scheme_reduction,
+)
 from oracles import lindblad_residual, real_coordinates_dense
 from rydpol.sop import (
     OPTICS_PRESETS,
+    RfSop,
     rotated_circular_optics,
     sop_from_phi,
     standard_optics,
@@ -37,6 +52,12 @@ from rydpol.sop import (
 HALF_ZERO = TransitionClass.of(0.5, 0)
 HALF_PLUS = TransitionClass.of(0.5, 1)
 FIVE_HALF = TransitionClass.of(1.5, 1)
+# the experimental classes and 3/2^-, each without and with r3 at J3 =
+# J + 1, and 1/2^0 with r3 at J3 = J (r1-r3 in the class 1/2^0)
+SPLIT_SCHEMES = [scheme_for_class(cls, third)
+                 for cls in EXPERIMENTAL_CLASSES + (TransitionClass.of(1.5, -1),)
+                 for third in (None, 100.0)] + [
+    LevelScheme(HALF_ZERO, HalfInt(3), "r1", ThirdLevel(HalfInt(1), 100.0))]
 
 
 def small_params(**over):
@@ -184,11 +205,41 @@ class TestHamiltonian:
             ref = np.sort(p.omega_rf * eigen_spectrum(FIVE_HALF, phi).eigenvalues)
             assert np.max(np.abs(ev - ref)) < 1e-9
 
-    def test_accepts_rfsop(self):
-        s = scheme_for_class(HALF_ZERO)
-        H1 = build_hamiltonian(s, small_params(), sop_from_phi(0.7), 0.0)
-        H2 = build_hamiltonian(s, small_params(), 0.7, 0.0)
-        assert np.allclose(H1, H2)
+    @pytest.mark.parametrize("scheme", SPLIT_SCHEMES, ids=[
+        "%s%s" % (s.cls.label(), "" if s.third is None else "_r3_J3=%d/2" % s.third.j3.twice)
+        for s in SPLIT_SCHEMES])
+    def test_rf_blocks_from_meridian_split(self, scheme):
+        # the RF blocks of H(phi) against the Wigner-Eckart oracle at the
+        # lab-frame SOP (-a_plus, a_minus), which does not pass through
+        # channel_matrices; the two terms are -+omega_rf sqrt2 C_+- exactly
+        p = small_params()
+        off, n1, dim = scheme.offsets(), scheme.cls.dim_r1, scheme.cls.dim
+        r1 = slice(off["r1"], off["r1"] + n1)
+        blocks = [(scheme.cls, slice(off["r2"], off["r2"] + dim - n1))]
+        if scheme.third is not None:
+            p3 = (scheme.third.j3.twice - scheme.cls.J.twice) // 2
+            blocks.append((TransitionClass(scheme.cls.J, p3), slice(off["r3"], None)))
+        for phi in np.linspace(0.1, 2 * math.pi + 0.1, 13)[:-1]:
+            sop = sop_from_phi(phi)
+            H = build_hamiltonian(scheme, p, phi, 0.0)
+            for cls, rows in blocks:
+                ref = (p.omega_rf * math.sqrt(2.0) * _class_scale(cls)
+                       * oracle_matrix(cls, RfSop(-sop.amp_plus, sop.amp_minus))[n1:, :n1])
+                assert np.max(np.abs(H[rows, r1] - ref)) < 1e-13
+                assert np.max(np.abs(H[r1, rows] - ref.conj().T)) < 1e-13
+        H0, *terms = _meridian_split(scheme, p)
+        ryd = slice(off["r1"], off["r1"] + dim)
+        for k, (X, sign) in enumerate(zip(terms, (-1.0, 1.0))):
+            w = sign * p.omega_rf * math.sqrt(2.0)
+            want = np.zeros_like(X)
+            want[ryd, ryd] = w * channel_matrices(scheme.cls)[k]
+            for cls, rows in blocks[1:]:
+                want[rows, r1] = w * channel_matrices(cls)[k][n1:, :n1]
+                want[r1, rows] = want[rows, r1].T
+            assert np.array_equal(X, want)
+        # H0 holds no RF: no coupling between distinct Rydberg states
+        rydberg = H0[off["r1"]:, off["r1"]:]
+        assert np.array_equal(rydberg, np.diag(np.diag(rydberg)))
 
 
 class TestCollapse:

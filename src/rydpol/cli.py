@@ -42,6 +42,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import warnings
 from dataclasses import asdict, astuple
@@ -621,6 +622,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None)
 
     p = sub.add_parser("wigner", help="evaluate a 3-j or 6-j symbol")
+    # a word such as -1/2 or -1/x is a value, not a flag: argparse takes only
+    # negative decimals for values unless its matcher is widened
+    p._negative_number_matcher = re.compile(r"-\.?\d")
     p.add_argument("--symbol", choices=("3j", "6j"), required=True)
     p.add_argument("values", nargs=6, metavar="J",
                    help="six (half-)integers, e.g. 1 3/2 1/2 ...")

@@ -175,14 +175,16 @@ def oracle_matrix(cls: TransitionClass, sop: RfSop) -> np.ndarray:
 
 
 def group_degeneracies(eigenvalues: np.ndarray, tol: float) -> tuple:
-    """(value, multiplicity) pairs for an ascending eigenvalue array."""
+    """(value, multiplicity) pairs for an ascending eigenvalue array: runs
+    whose neighbours lie within tol, each at the mean of its members.  The
+    sum runs in order, as np.mean's does below 8 terms."""
     groups = []
-    for ev in eigenvalues:
-        if groups and ev - groups[-1][0][-1] <= tol:
-            groups[-1][0].append(ev)
+    for ev in eigenvalues.tolist():
+        if groups and ev - groups[-1][-1] <= tol:
+            groups[-1].append(ev)
         else:
-            groups.append([[ev]])
-    return tuple((float(np.mean(g[0])), len(g[0])) for g in groups)
+            groups.append([ev])
+    return tuple((sum(g) / len(g), len(g)) for g in groups)
 
 
 def eigen_spectrum(

@@ -10,7 +10,10 @@ quadratic approximate-envelope inversion brackets the exact one,
 lindblad_residual, the Lindblad equation in matrix form, checks the
 steady states of eitsim's vectorized Liouvillian, and the dense
 elementwise pass of real_coordinates_dense checks eitsim's pass to real
-coordinates from the nonzeros.
+coordinates from the nonzeros.  A bisection on the exact ratio checks the
+Newton iteration of the (3/2, +-) kernel, a round trip that inverts once
+per optics configuration checks round_trip's single inversion, and the
+np.mean of each group checks dressing's degeneracy grouping.
 """
 
 import math
@@ -18,7 +21,18 @@ import math
 import numpy as np
 
 from rydpol.angular import HalfInt, reduced_coupling_strength, wigner3j, wigner6j
-from rydpol.dressing import _class_scale
+from rydpol.dressing import _class_scale, eigen_spectrum, envelope_magnitudes
+from rydpol.inversion import (
+    R_FIVE_MAX,
+    R_FIVE_MIN,
+    RoundTripReport,
+    _angle_dist,
+    _in_prominence_interval,
+    combine_candidates,
+    config_free,
+    invert_peaks,
+    peakset_from_eigenvalues,
+)
 from rydpol.sop import StokesVector
 
 
@@ -132,6 +146,56 @@ def phase_from_ratio_approx(R: float) -> float:
         math.sqrt(2.0) * R
     )
     return math.asin(min(max(arg, -1.0), 1.0))
+
+
+def phase_from_ratio_bisect(R: float) -> float:
+    """Principal angle in [0, pi/2] solving the exact (3/2, +-) envelope
+    ratio by bisection on s = |sin phi|, on which the ratio rises
+    monotonically from sqrt(3/2) at s = 0 to sqrt(10) at s = 1, until the
+    midpoint stops moving; R at or beyond either end returns that end."""
+    if R <= R_FIVE_MIN:
+        return 0.0
+    if R >= R_FIVE_MAX:
+        return math.pi / 2.0
+    lo, mid, hi = 0.0, 0.5, 1.0
+    while lo < mid < hi:
+        outer, inner = envelope_magnitudes(mid)
+        if outer / inner < R:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return math.asin(mid)
+
+
+def round_trip_per_config(cls, phi_true: float, configs=("standard",),
+                          angle_tol: float = 1e-6) -> RoundTripReport:
+    """inversion.round_trip with one invert_peaks per distinct optics
+    configuration, combining the configurations' pruned sets."""
+    phi_true = phi_true % (2.0 * math.pi)
+    free = config_free(cls)
+    peaks = peakset_from_eigenvalues(eigen_spectrum(cls, phi_true).eigenvalues)
+    if free:
+        configs = ("standard",)
+    results = [invert_peaks(cls, peaks, float(_in_prominence_interval(phi_true, config)),
+                            0.5, config, 1e-6) for config in dict.fromkeys(configs)]
+    combined = results[0].pruned
+    for other in results[1:]:
+        combined = combine_candidates(combined, other.pruned, max(angle_tol, 1e-9))
+    recovered = any(_angle_dist(phi_true, c) <= angle_tol for c in combined)
+    return RoundTripReport(phi_true, combined, recovered)
+
+
+def group_degeneracies_mean(eigenvalues: np.ndarray, tol: float) -> tuple:
+    """(np.mean, multiplicity) of each run of an ascending eigenvalue array
+    whose neighbours lie within tol."""
+    groups = []
+    for ev in eigenvalues:
+        if groups and ev - groups[-1][-1] <= tol:
+            groups[-1].append(ev)
+        else:
+            groups.append([ev])
+    return tuple((float(np.mean(g)), len(g)) for g in groups)
 
 
 def lindblad_residual(H: np.ndarray, collapse: np.ndarray, rho: np.ndarray) -> float:

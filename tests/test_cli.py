@@ -797,6 +797,25 @@ class TestWignerCommand:
         rc = main(["wigner", "--symbol", "3j", "1", "1", "x", "0", "0", "0"])
         assert rc == 3
 
+    def test_negative_half_integer_values(self, capsys):
+        # -1/2 is a value here, read as it is after --
+        values = ["3/2", "1", "1/2", "-1/2", "1", "-1/2"]
+        assert main(["wigner", "--symbol", "3j"] + values) == 0
+        out = capsys.readouterr().out
+        assert main(["wigner", "--symbol", "3j", "--"] + values) == 0
+        assert capsys.readouterr().out == out
+        assert float(out) == pytest.approx(-1 / (2 * math.sqrt(3)), abs=1e-15)
+        assert main(["wigner"] + values + ["--symbol", "3j"]) == 0
+        assert capsys.readouterr().out == out
+
+    @pytest.mark.parametrize("value", ["-1/x", "-1/3", "-.5x"])
+    def test_malformed_negative_value_invalid_input(self, capsys, value):
+        rc = main(["wigner", "--symbol", "3j", "3/2", "1", "1/2", value, "1", "-1/2"])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: %r is not an integer or half-integer\n" % value
+
     @pytest.mark.parametrize("value,message", [
         ("inf", "is not an integer or half-integer"),
         ("Infinity", "is not an integer or half-integer"),

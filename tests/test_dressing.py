@@ -24,6 +24,7 @@ from oracles import (
     closed_form_coupling_matrix,
     closed_form_eigenvalues_half,
     dipole_angular_factor,
+    group_degeneracies_mean,
 )
 from rydpol.angular import HalfInt
 from rydpol.sop import sop_from_phi
@@ -171,6 +172,27 @@ class TestDegeneracies:
     def test_grouping(self):
         groups = group_degeneracies(np.array([-1.0, -1.0, 0.0, 2.0]), 1e-9)
         assert [g[1] for g in groups] == [2, 1, 1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 10), min_size=1, max_size=8),
+           start=st.floats(-5.0, 5.0), data=st.data())
+    def test_matches_mean_reference(self, sizes, start, data):
+        # planted clusters: members at most tol/2 apart, clusters at least
+        # 10 tol apart, so the runs are exactly the planted clusters
+        tol = 1e-9
+        values, x = [], start
+        for n in sizes:
+            for _ in range(n):
+                values.append(x)
+                x += data.draw(st.floats(0.0, tol / 2))
+            x += data.draw(st.floats(10 * tol, 1.0))
+        ev = np.array(values)
+        groups = group_degeneracies(ev, tol)
+        ref = group_degeneracies_mean(ev, tol)
+        assert [n for _, n in groups] == [n for _, n in ref] == sizes
+        for (value, n), (mean, _) in zip(groups, ref):
+            # below 8 terms np.mean sums in order too; above, pairwise
+            assert value == mean if n < 8 else value == pytest.approx(mean, rel=1e-15)
 
     def test_cardinal_counts(self):
         expected = {

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.signal import find_peaks
 
-from oracles import phase_from_ratio_approx
+from oracles import phase_from_ratio_approx, phase_from_ratio_bisect, round_trip_per_config
 from rydpol.dressing import TransitionClass, eigen_spectrum, envelopes_exact
 from rydpol.inversion import (
     R_FIVE_MAX,
@@ -261,6 +261,15 @@ class TestFiveHalfKernel:
         for R in np.linspace(R_FIVE_MIN, R_FIVE_MAX, 1001):
             assert abs(envelope_ratio_exact(phase_from_ratio_exact(R)) - R) <= 1e-14
 
+    @settings(max_examples=300, deadline=None)
+    @given(R=st.floats(R_FIVE_MIN, R_FIVE_MAX))
+    @example(R=math.nextafter(R_FIVE_MIN, 4.0))
+    @example(R=math.nextafter(R_FIVE_MAX, 0.0))
+    @example(R=1.2251323779493444)  # a root near s = 1e-3
+    def test_newton_matches_bisection(self, R):
+        s_bisect = math.sin(phase_from_ratio_bisect(R))
+        assert abs(math.sin(phase_from_ratio_exact(R)) - s_bisect) <= 1e-14
+
     def test_approx_close_to_exact(self):
         for phi in np.linspace(0.1, math.pi / 2 - 0.1, 15):
             R = envelope_ratio_exact(phi)
@@ -378,6 +387,23 @@ class TestRoundTrip:
                          configs=("standard", "rotated_circular"), angle_tol=1e-6)
         assert rep.recovered
         assert len(rep.combined) == 1, rep.combined
+
+    @settings(max_examples=200, deadline=None)
+    @given(cls=st.sampled_from([HALF_ZERO, FIVE_HALF, TransitionClass.of(1.5, -1)]),
+           phi=st.floats(0.0, 2 * math.pi),
+           configs=st.lists(st.sampled_from(["standard", "rotated_circular"]),
+                            min_size=1, max_size=4),
+           angle_tol=st.sampled_from([1e-6, 1e-3]))
+    @example(cls=FIVE_HALF, phi=math.pi / 2, configs=["rotated_circular", "standard"],
+             angle_tol=1e-6)
+    @example(cls=FIVE_HALF, phi=math.pi + 7e-8, configs=["standard", "standard",
+             "rotated_circular"], angle_tol=1e-6)
+    def test_one_inversion_matches_one_per_config(self, cls, phi, configs, angle_tol):
+        rep = round_trip(cls, phi, configs=tuple(configs), angle_tol=angle_tol)
+        ref = round_trip_per_config(cls, phi, configs=tuple(configs), angle_tol=angle_tol)
+        assert rep.recovered == ref.recovered
+        assert len(rep.combined) == len(ref.combined), (rep.combined, ref.combined)
+        assert all(_angle_dist(a, b) <= 1e-12 for a, b in zip(rep.combined, ref.combined))
 
     def test_unsupported_class(self):
         with pytest.raises(NotInvertible):

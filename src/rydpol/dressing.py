@@ -176,15 +176,19 @@ def oracle_matrix(cls: TransitionClass, sop: RfSop) -> np.ndarray:
 
 def group_degeneracies(eigenvalues: np.ndarray, tol: float) -> tuple:
     """(value, multiplicity) pairs for an ascending eigenvalue array: runs
-    whose neighbours lie within tol, each at the mean of its members.  The
-    sum runs in order, as np.mean's does below 8 terms."""
-    groups = []
+    whose neighbours lie within tol, each at the mean of its members.  Each
+    run is summed in order from 0.0, as np.mean sums below 8 terms."""
+    groups = []  # [total, count, last member] of each run
     for ev in eigenvalues.tolist():
-        if groups and ev - groups[-1][-1] <= tol:
-            groups[-1].append(ev)
+        if groups and ev - groups[-1][2] <= tol:
+            run = groups[-1]
         else:
-            groups.append([ev])
-    return tuple((sum(g) / len(g), len(g)) for g in groups)
+            run = [0.0, 0, ev]
+            groups.append(run)
+        run[0] += ev
+        run[1] += 1
+        run[2] = ev
+    return tuple((total / n, n) for total, n, _ in groups)
 
 
 def eigen_spectrum(
@@ -203,11 +207,19 @@ def spectrogram(cls: TransitionClass, phi_grid) -> list:
     return [eigen_spectrum(cls, float(phi)) for phi in phi_grid]
 
 
+def envelope_squares(s: float) -> tuple:
+    """(25 outer^2, 25 inner^2, d(25 outer^2)/ds, d(25 inner^2)/ds) of the
+    exact (3/2, +-) envelopes at s = |sin phi|."""
+    a = math.sqrt(33.0 * s * s + 12.0 * s + 4.0)
+    b = math.sqrt(33.0 * s * s - 12.0 * s + 4.0)
+    return (10.0 + 3.0 * s + a, 10.0 - 3.0 * s - b,
+            3.0 + (33.0 * s + 6.0) / a, -3.0 - (33.0 * s - 6.0) / b)
+
+
 def envelope_magnitudes(s: float) -> tuple:
     """(outer, inner) exact (3/2, +-) envelope magnitudes at s = |sin phi|."""
-    outer = math.sqrt(10.0 + 3.0 * s + math.sqrt(33.0 * s * s + 12.0 * s + 4.0)) / 5.0
-    inner = math.sqrt(10.0 - 3.0 * s - math.sqrt(33.0 * s * s - 12.0 * s + 4.0)) / 5.0
-    return outer, inner
+    outer2, inner2, _, _ = envelope_squares(s)
+    return math.sqrt(outer2) / 5.0, math.sqrt(inner2) / 5.0
 
 
 def envelopes_exact(phi: float) -> EnvelopePair:

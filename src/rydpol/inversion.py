@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dressing import TransitionClass, eigen_spectrum, envelopes_exact
+from .dressing import TransitionClass, eigen_spectrum, envelope_squares, envelopes_exact
 
 _TWO_PI = 2.0 * math.pi
 # candidates closer than this (radians) are one candidate, and a candidate
@@ -265,7 +265,8 @@ def phase_from_ratio_exact(R: float) -> float:
     The ratio depends on phi only through s = |sin phi| and rises
     monotonically from sqrt(3/2) at s = 0 to sqrt(10) at s = 1; R at or
     beyond either end returns that end.  Inside, s is the root of
-    f(s) = u^2 - R^2 v^2 with u = 5 outer and v = 5 inner, so f has the
+    f(s) = u^2 - R^2 v^2 with u = 5 outer and v = 5 inner (their squares
+    and derivatives from dressing.envelope_squares), so f has the
     sign of ratio - R.  f is convex (u^2 is, v^2 is concave), so Newton
     steps from s = 1 descend onto the root within the bracket [0, s]; a
     step out of it is replaced by the midpoint, and the loop stops when
@@ -278,10 +279,8 @@ def phase_from_ratio_exact(R: float) -> float:
     R2 = R * R
     s = 1.0
     while True:
-        a = math.sqrt(33.0 * s * s + 12.0 * s + 4.0)
-        b = math.sqrt(33.0 * s * s - 12.0 * s + 4.0)
-        f = 10.0 + 3.0 * s + a - R2 * (10.0 - 3.0 * s - b)
-        t = s - f / (3.0 + (33.0 * s + 6.0) / a + R2 * (3.0 + (33.0 * s - 6.0) / b))
+        u2, v2, du2, dv2 = envelope_squares(s)
+        t = s - (u2 - R2 * v2) / (du2 - R2 * dv2)
         if t <= 0.0:
             t = 0.5 * s
         if not t < s:

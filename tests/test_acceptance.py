@@ -208,7 +208,7 @@ def test_criterion_06_eigenvalue_round_trip(verdict):
         worst = max(worst, min(_angle_dist(phi, c) for c in out.pruned))
     ok = ok and worst < 1e-6
     verdict(6, "180-angle round trip, fourfold and pruned twofold sets",
-            ok, "max err %.1e rad" % worst)
+            ok, "max err %s rad" % _noise(worst))
 
 
 def _test_phi_grid():

@@ -191,7 +191,8 @@ class TestDegeneracies:
         ref = group_degeneracies_mean(ev, tol)
         assert [n for _, n in groups] == [n for _, n in ref] == sizes
         for (value, n), (mean, _) in zip(groups, ref):
-            # below 8 terms np.mean sums in order too; above, pairwise
+            # each run is summed in order from 0.0, as np.mean sums below
+            # 8 terms; from 8 terms on, numpy sums pairwise
             assert value == mean if n < 8 else value == pytest.approx(mean, rel=1e-15)
 
     def test_cardinal_counts(self):
